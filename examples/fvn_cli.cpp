@@ -29,9 +29,6 @@
 //                                            baseline for batched channels)
 //                     --poll-ms=<ms>         coordinator quiescence-scan
 //                                            timeout (default 0.25)
-//                     --workers=<n>          shard-parallel node evaluation
-//                                            (certified programs only; serial
-//                                            fallback is reported on stderr)
 //                     --engine=<interpreter|dataflow>, --metrics, --trace
 //   fvn_cli plan      <prog.ndlog> [--dot|--json]   compiled dataflow graph
 //                     --parallel  append the certified shard plan for the
@@ -53,7 +50,7 @@
 //                                            publishes epoch snapshots;
 //                                            verifies snapshot consistency
 //                     --churn-seconds <s>    churn duration (default 1.0)
-//                     --engine/--workers/--metrics/--trace as simulate
+//                     --engine/--metrics/--trace as simulate
 //   fvn_cli verify    <prog.ndlog> <facts.txt> --ltl <spec.ltl>
 //                     LTL model checking over every message interleaving
 //                     (fvn::mc x fvn::ltl product automaton, nested DFS):
@@ -94,11 +91,6 @@
 //   --engine=<interpreter|dataflow>  rule executor (default interpreter);
 //                        dataflow runs the compiled element strands and
 //                        exposes per-element counters under --metrics
-//   --workers=<n>        shard-parallel delta rounds (both engines): delivered
-//                        batches are evaluated by n workers when the static
-//                        certificate (analyze --parallel) admits it;
-//                        uncertified programs fall back to serial with a
-//                        stderr notice. Fixpoints are bit-identical either way.
 //
 // facts.txt: one ground fact per line, e.g. `link(@n0,n1,1)`; blank lines
 // and lines starting with `#` are ignored.
@@ -181,7 +173,7 @@ int usage() {
                "properties as online monitors (violation => exit 1)\n"
                "       fvn_cli dist <prog.ndlog> <facts.txt> [--nodes=<n>] "
                "[--transport=<inproc|udp>] [--loss=<p>] [--seed=<s>] "
-               "[--no-retransmit] [--no-batch] [--poll-ms=<ms>] [--workers=<n>] "
+               "[--no-retransmit] [--no-batch] [--poll-ms=<ms>] "
                "[--engine=...] [--metrics] [--trace <out.json>]\n"
                "       fvn_cli lint [--json] <prog.ndlog>...   "
                "(exit 0 clean, 1 warnings, 2 errors)\n"
@@ -194,8 +186,7 @@ int usage() {
                "[--parallel]   (localize + compile to dataflow strands; "
                "--parallel appends the certified shard plan)\n"
                "       eval = run, sim = simulate; both take --metrics and "
-               "--trace <out.json>; sim takes --engine=<interpreter|dataflow> "
-               "and --workers=<n>\n"
+               "--trace <out.json>; sim takes --engine=<interpreter|dataflow>\n"
                "       fvn_cli serve <prog.ndlog> <facts.txt> --serve-pred <pred> "
                "[--serve-cols dst,nexthop,cost] [--queries <file>] "
                "[--readers <n> --churn] [--churn-seconds <s>]   "
@@ -653,7 +644,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   bool want_metrics = false;
   bool churn = false;
   std::uint64_t readers = 0;
-  std::uint64_t workers = 0;
   double churn_seconds = 1.0;
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -678,8 +668,6 @@ int cmd_serve(const std::vector<std::string>& args) {
           parse_double_flag("--churn-seconds", value_of("--churn-seconds"));
     } else if (a == "--engine" || a.rfind("--engine=", 0) == 0) {
       engine_name = value_of("--engine");
-    } else if (a == "--workers" || a.rfind("--workers=", 0) == 0) {
-      workers = parse_uint_flag("--workers", value_of("--workers"));
     } else if (a == "--metrics") {
       want_metrics = true;
     } else if (a == "--metrics-out" || a.rfind("--metrics-out=", 0) == 0) {
@@ -736,7 +724,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   if (engine_name == "dataflow") {
     sim_options.engine = fvn::runtime::EngineKind::Dataflow;
   }
-  sim_options.workers = static_cast<std::size_t>(workers);
 
   fvn::runtime::Simulator sim(program, sim_options);
   sim.inject_all(facts);
@@ -801,7 +788,6 @@ int cmd_dist(const std::vector<std::string>& args) {
   bool retransmit = true;
   bool batch = true;
   double poll_ms = -1.0;  // < 0 = keep the ClusterOptions default
-  std::uint64_t workers = 0;
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -839,8 +825,6 @@ int cmd_dist(const std::vector<std::string>& args) {
     } else if (a == "--nodes" || a.rfind("--nodes=", 0) == 0) {
       expected_nodes =
           static_cast<std::int64_t>(parse_uint_flag("--nodes", value_of("--nodes")));
-    } else if (a == "--workers" || a.rfind("--workers=", 0) == 0) {
-      workers = parse_uint_flag("--workers", value_of("--workers"));
     } else if (a.rfind("--", 0) == 0) {
       throw UsageError("unknown flag " + a);
     } else {
@@ -896,7 +880,6 @@ int cmd_dist(const std::vector<std::string>& args) {
   options.faults.seed = seed;
   options.reliability.enabled = retransmit;
   options.reliability.batch = batch;
-  options.workers = static_cast<std::size_t>(workers);
   if (poll_ms > 0.0) options.poll_interval_ms = poll_ms;
   if (collect_metrics) options.metrics = &registry;
   if (!trace_path.empty()) options.trace = &obs_trace;
@@ -924,15 +907,6 @@ int cmd_dist(const std::vector<std::string>& args) {
             << " acked=" << stats.acked << " bytes=" << stats.transport.bytes_sent
             << " wall_ms=" << stats.wall_ms
             << (stats.quiesced ? "" : " (no quiescence before budget)") << "\n";
-  if (workers >= 1) {
-    if (stats.parallel_active) {
-      std::cerr << "parallel: workers=" << workers
-                << " rounds=" << stats.parallel_rounds << "\n";
-    } else {
-      std::cerr << "parallel: serial fallback ("
-                << stats.parallel_fallback_reason << ")\n";
-    }
-  }
   if (serve_plane.has_value()) {
     print_serve_summary(*serve_plane);
     serve_plane->flush_metrics();
@@ -989,8 +963,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Observability flags (run/eval and simulate/sim); everything else is
-  // positional: <prog.ndlog> [facts.txt] [goal|fact].
+  // Observability flags (run/eval and simulate/sim); any other --flag is a
+  // usage error, everything else is positional: <prog.ndlog> [facts.txt]
+  // [goal|fact].
   bool want_metrics = false;
   std::string trace_path;
   std::string metrics_out;
@@ -998,7 +973,6 @@ int main(int argc, char** argv) {
   std::string engine_name;
   std::string monitor_path;
   bool cost_order = false;
-  std::uint64_t workers = 0;
   std::vector<std::string> args;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
@@ -1031,20 +1005,9 @@ int main(int argc, char** argv) {
       engine_name = a.substr(9);
     } else if (a == "--cost-order") {
       cost_order = true;
-    } else if (a == "--workers" || a.rfind("--workers=", 0) == 0) {
-      std::string value;
-      if (a.size() > 9) {
-        value = a.substr(10);
-      } else {
-        if (i + 1 >= argc) return usage();
-        value = argv[++i];
-      }
-      try {
-        workers = parse_uint_flag("--workers", value);
-      } catch (const UsageError& e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
-      }
+    } else if (a.rfind("--", 0) == 0) {
+      std::cerr << "error: unknown flag " << a << "\n";
+      return 2;
     } else {
       args.push_back(a);
     }
@@ -1124,7 +1087,6 @@ int main(int argc, char** argv) {
       if (!trace_path.empty()) sim_options.obs_trace = &obs_trace;
       if (engine_name == "dataflow") sim_options.engine = runtime::EngineKind::Dataflow;
       sim_options.cost_order = cost_order;
-      sim_options.workers = static_cast<std::size_t>(workers);
       std::optional<ltl::MonitorSet> ltl_monitors;
       if (!monitor_path.empty()) {
         const auto spec = load_ltl_spec(monitor_path, program);
@@ -1185,16 +1147,6 @@ int main(int argc, char** argv) {
                 << " messages=" << stats.messages_sent
                 << " converged_at=" << stats.last_change_time << "s"
                 << (stats.quiesced ? "" : " (budget exhausted)") << "\n";
-      if (workers >= 1) {
-        if (stats.parallel_active) {
-          std::cerr << "parallel: workers=" << workers
-                    << " batches=" << stats.parallel_batches
-                    << " rounds=" << stats.parallel_rounds << "\n";
-        } else {
-          std::cerr << "parallel: serial fallback ("
-                    << stats.parallel_fallback_reason << ")\n";
-        }
-      }
       flush_obs();
       bool monitors_ok = true;
       if (ltl_monitors.has_value()) {

@@ -156,7 +156,6 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
         }
       }
       const Value& v = regs_[static_cast<std::size_t>(e.agg_slot)];
-      if (ctx.dirty_keys != nullptr) ctx.dirty_keys->insert(key);
       auto& group = (*ctx.groups)[key];
       auto it = group.emplace(v, 0).first;
       it->second += ctx.sign;
@@ -174,7 +173,7 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
 
 void Engine::run_strand(const Strand& strand, const StrandObs& obs, const Tuple& delta,
                         const Database& db, std::vector<Tuple>* out, GroupState* groups,
-                        int sign, std::set<std::vector<Value>>* dirty_keys) {
+                        int sign) {
   if (strand.dead || strand.elements.empty()) return;
   if (regs_.size() < strand.nslots) regs_.resize(strand.nslots);
   RunCtx ctx;
@@ -184,7 +183,6 @@ void Engine::run_strand(const Strand& strand, const StrandObs& obs, const Tuple&
   ctx.db = &db;
   ctx.out = out;
   ctx.groups = groups;
-  ctx.dirty_keys = dirty_keys;
   ctx.sign = sign;
   exec(ctx, 0);
 }
@@ -207,7 +205,7 @@ void Engine::touch(const Tuple& tuple, int sign, const Database& db) {
     const AggregateRulePlan& ap = plan_->aggregates[ai];
     if (!ap.incremental) continue;
     run_strand(ap.strands[si], agg_obs_[ai][si], tuple, db, nullptr, &agg_[ai].groups,
-               sign, &agg_[ai].dirty_keys);
+               sign);
   }
 }
 
@@ -257,48 +255,6 @@ Value Engine::aggregate_value(const AggregateRulePlan& ap,
     }
   }
   return Value::nil();  // unreachable: all AggKind cases covered above
-}
-
-bool Engine::flush_aggregate_diff(std::size_t index, std::vector<AggDelta>& out) {
-  const AggregateRulePlan& ap = plan_->aggregates[index];
-  AggState& state = agg_[index];
-  out.clear();
-  if (!state.dirty) return false;
-  // Clear before diffing, mirroring flush_aggregate(): mutations the
-  // executive performs while applying this diff re-dirty the rule for the
-  // next flush pass.
-  state.dirty = false;
-  const ndlog::Rule& rule = plan_->program.rules[ap.rule_index];
-  for (const auto& key : state.dirty_keys) {
-    auto git = state.groups.find(key);
-    std::optional<Value> now;
-    if (git != state.groups.end()) now = aggregate_value(ap, git->second);
-    auto eit = state.emitted.find(key);
-    AggDelta delta;
-    if (eit != state.emitted.end()) {
-      if (now.has_value() && *now == eit->second) continue;  // value unmoved
-      std::vector<Value> values = key;
-      values[ap.agg_pos] = eit->second;
-      delta.retract = Tuple(rule.head.predicate, std::move(values));
-    } else if (!now.has_value()) {
-      continue;  // appeared and vanished between flushes: never emitted
-    }
-    if (now.has_value()) {
-      std::vector<Value> values = key;
-      values[ap.agg_pos] = *now;
-      delta.assert_now = Tuple(rule.head.predicate, std::move(values));
-      if (eit != state.emitted.end()) {
-        eit->second = *now;
-      } else {
-        state.emitted.emplace(key, *now);
-      }
-    } else {
-      state.emitted.erase(eit);
-    }
-    out.push_back(std::move(delta));
-  }
-  state.dirty_keys.clear();
-  return !out.empty();
 }
 
 }  // namespace fvn::dataflow

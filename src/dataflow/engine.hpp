@@ -1,7 +1,7 @@
 // Per-node execution of a compiled Plan: one tuple delta at a time through
 // the rule strands (true incremental semi-naive — no per-message
 // re-evaluation), plus incremental aggregate view maintenance driven by
-// database-mirror hooks. The executive (runtime::Simulator) owns message
+// database-mirror hooks. The executive (runtime::NodeExec) owns message
 // routing, keyed overwrite, and soft-state expiry; the engine owns only the
 // compiled hot path.
 #pragma once
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "dataflow/plan.hpp"
@@ -57,29 +56,6 @@ class Engine {
   /// set against its cache and routes retractions/additions.
   std::optional<ndlog::TupleSet> flush_aggregate(std::size_t index,
                                                  const ndlog::Database& db);
-  std::size_t aggregate_count() const noexcept { return plan_->aggregates.size(); }
-  bool aggregate_dirty(std::size_t index) const { return agg_[index].dirty; }
-  bool aggregate_incremental(std::size_t index) const {
-    return plan_->aggregates[index].incremental;
-  }
-
-  /// One aggregate group whose output row changed since the last diff flush.
-  /// `retract` is the previously-emitted row (absent for a new group),
-  /// `assert_now` the current row (absent when the group emptied).
-  struct AggDelta {
-    std::optional<ndlog::Tuple> retract;
-    std::optional<ndlog::Tuple> assert_now;
-  };
-
-  /// Incremental alternative to flush_aggregate(): touches only the groups
-  /// dirtied since the last diff flush and emits retract/assert pairs for
-  /// those whose aggregate value actually moved, in sorted group-key order.
-  /// O(changed groups) instead of O(all groups) per flush — this is what
-  /// makes per-batch aggregate maintenance cheap on the distributed hot
-  /// path. Only valid when aggregate_incremental(index); an index must use
-  /// either this or flush_aggregate() exclusively (each keeps its own notion
-  /// of "what was last emitted"). Returns true when `out` is non-empty.
-  bool flush_aggregate_diff(std::size_t index, std::vector<AggDelta>& out);
 
   const EngineStats& stats() const noexcept { return stats_; }
   const Plan& plan() const noexcept { return *plan_; }
@@ -97,11 +73,6 @@ class Engine {
   struct AggState {
     GroupState groups;
     bool dirty = false;
-    /// Diff-flush bookkeeping (flush_aggregate_diff only): groups touched
-    /// since the last diff flush, and the aggregate value last emitted per
-    /// group (absent = group never emitted / last emitted a retraction).
-    std::set<std::vector<ndlog::Value>> dirty_keys;
-    std::map<std::vector<ndlog::Value>, ndlog::Value> emitted;
   };
   struct RunCtx {
     const Strand* strand = nullptr;
@@ -110,14 +81,12 @@ class Engine {
     const ndlog::Database* db = nullptr;
     std::vector<ndlog::Tuple>* out = nullptr;  // Project sink
     GroupState* groups = nullptr;              // Aggregate sink
-    std::set<std::vector<ndlog::Value>>* dirty_keys = nullptr;  // diff-flush log
     int sign = +1;
   };
 
   void run_strand(const Strand& strand, const StrandObs& obs, const ndlog::Tuple& delta,
                   const ndlog::Database& db, std::vector<ndlog::Tuple>* out,
-                  GroupState* groups, int sign,
-                  std::set<std::vector<ndlog::Value>>* dirty_keys = nullptr);
+                  GroupState* groups, int sign);
   static ndlog::Value aggregate_value(const AggregateRulePlan& ap,
                                       const std::map<ndlog::Value, std::int64_t>& group);
   void exec(RunCtx& ctx, std::size_t ei);

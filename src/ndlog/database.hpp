@@ -33,10 +33,8 @@ class Database {
                                           std::size_t position,
                                           const Value& value) const;
   /// Build the (predicate, position) index now if it does not exist yet
-  /// (no-op otherwise). lookup() builds indexes lazily under const, which is
-  /// a data race for concurrent readers; the parallel worker pool pre-warms
-  /// every index its probes can touch before a round fans out, after which
-  /// concurrent lookup() calls are pure reads.
+  /// (no-op otherwise). lookup() builds indexes lazily under const, so
+  /// concurrent readers must build every index they probe up front.
   void ensure_index(const std::string& predicate, std::size_t position) const;
   /// True if an index exists for (predicate, position) — test/bench hook.
   bool has_index(const std::string& predicate, std::size_t position) const;

@@ -2,9 +2,8 @@
 // key per derived predicate such that hash-partitioned evaluation of a delta
 // round stays shard-local — every join probe against a same-stratum derived
 // predicate, every local head install, and every aggregate group lands in
-// the shard that owns the delta. The executable counterpart lives in
-// dataflow::WorkerPool; it is only allowed to fan a round across worker
-// threads when this analyzer produced a certificate.
+// the shard that owns the delta. The certificate is static: no runtime
+// executes shard-parallel rounds (DESIGN.md §16 says why).
 //
 //   ND0022  certified shard plan   note: the chosen key per predicate
 //   ND0023  key-misaligned join    a body atom carries the wrong variable at
@@ -18,9 +17,9 @@
 //                                  predicate revokes the certificate
 //
 // The certificate argument (why shard-local groups + serial barriers keep
-// fixpoints bit-identical to the serial engine) is spelled out in DESIGN.md
-// §16; tests/test_parallel_crossval.cpp pins it empirically across every
-// example × engine × worker count.
+// the rule groups independent of one another) is spelled out in DESIGN.md
+// §16. ND0022 certifies shard independence of rule groups, not independence
+// from arrival order: an order-sensitive program (ND0017) can still certify.
 #pragma once
 
 #include <cstddef>

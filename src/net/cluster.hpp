@@ -29,13 +29,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "dataflow/plan.hpp"
-#include "ndlog/catalog.hpp"
-#include "ndlog/eval.hpp"
 #include "net/node.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
@@ -71,13 +67,6 @@ struct ClusterOptions {
   bool incremental_aggregates = true;
   /// Dataflow engine: compile with cost-guided join ordering.
   bool cost_order = false;
-  /// Shard-parallel evaluation (both engines). 0 = untouched serial nodes.
-  /// >= 1 asks fvn::ndlog::parallel to certify the (localized) program; when
-  /// certified, every node gets a private worker pool of this size and
-  /// evaluates delivered batches in shard-keyed rounds (1 = round machinery
-  /// without extra threads). Uncertified programs transparently run serial;
-  /// ClusterStats::parallel_fallback_reason says why.
-  std::size_t workers = 0;
   /// Observability sinks (null = off). With `metrics`, per-node series
   /// net/node/<n>/{sent,received,retransmitted,acked,installed,bytes_sent,
   /// bytes_received,ack_bytes,tuples_shipped,mailbox_depth,batch_size,
@@ -125,12 +114,6 @@ struct ClusterStats {
   std::size_t coordinator_polls = 0;
   double wall_ms = 0.0;
   bool quiesced = false;
-  /// Shard-parallel execution (ClusterOptions::workers): whether the
-  /// certificate admitted it, why not when it didn't, and the total worker
-  /// rounds evaluated across all nodes.
-  bool parallel_active = false;
-  std::string parallel_fallback_reason;
-  std::uint64_t parallel_rounds = 0;
 };
 
 /// Distributed executor for one hard-state NDlog program. One-shot: run()
@@ -140,6 +123,8 @@ class Cluster {
   Cluster(ndlog::Program program, ClusterOptions options = {},
           const ndlog::BuiltinRegistry& builtins =
               ndlog::BuiltinRegistry::standard());
+  Cluster(const Cluster&) = delete;  // the nodes point at prepared_
+  Cluster& operator=(const Cluster&) = delete;
 
   /// Ensure a node exists even if no fact lives there (receive-only nodes).
   void add_node(const std::string& name);
@@ -163,32 +148,21 @@ class Cluster {
   /// compares against runtime::Simulator::merged_database().
   ndlog::Database merged_database() const;
   std::vector<std::string> nodes() const;
-  const ndlog::Program& program() const noexcept { return program_; }
+  const ndlog::Program& program() const noexcept { return prepared_.program; }
   /// Tuple lifecycle stream merged across nodes in timestamp order (empty
   /// unless options.capture_tuple_events; valid after run()).
   std::vector<obs::TraceEvent> tuple_events() const;
 
  private:
   void register_addrs(const ndlog::Value& value);
-  std::string location_of(const ndlog::Tuple& tuple) const;
   NodeObs make_obs(const std::string& name);
 
-  ndlog::Program program_;
-  ndlog::Catalog catalog_;
+  runtime::PreparedProgram prepared_;
   ClusterOptions options_;
-  const ndlog::BuiltinRegistry* builtins_;
-  std::optional<dataflow::Plan> plan_;
 
   std::map<std::string, std::vector<ndlog::Tuple>> seeds_;  // node -> facts
   std::unique_ptr<Transport> transport_;
   std::map<std::string, std::unique_ptr<Node>> nodes_;
-  /// Shard-parallel mode: the certificate verdict (taken once, in the
-  /// constructor) and one worker pool per node, created before the node
-  /// threads start and destroyed after they join.
-  bool parallel_certified_ = false;
-  std::string parallel_fallback_;
-  dataflow::ShardRouter router_;
-  std::vector<std::unique_ptr<dataflow::WorkerPool>> pools_;
   /// Per-node tuple-event traces (capture_tuple_events only), created before
   /// the node threads start and read only after they join.
   std::map<std::string, std::unique_ptr<obs::Trace>> tuple_traces_;

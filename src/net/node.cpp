@@ -7,35 +7,18 @@
 
 namespace fvn::net {
 
-using ndlog::Rule;
 using ndlog::Tuple;
-using ndlog::TupleSet;
 
-Node::Node(std::string name, const ndlog::Program& program,
-           const ndlog::Catalog& catalog, const ndlog::BuiltinRegistry& builtins,
-           const dataflow::Plan* plan, Transport& transport,
-           ReliabilityOptions reliability, NodeObs obs, dataflow::WorkerPool* pool)
+Node::Node(std::string name, const runtime::PreparedProgram& program,
+           Transport& transport, ReliabilityOptions reliability, NodeObs obs)
     : name_(std::move(name)),
-      program_(&program),
-      catalog_(&catalog),
-      builtins_(&builtins),
       transport_(&transport),
       reliability_(reliability),
       obs_(obs),
-      engine_(builtins),
-      plan_(plan),
-      pool_(pool),
-      epoch_(std::chrono::steady_clock::now()) {
-  if (plan_ != nullptr) {
-    // Per-node engine with a null registry: obs::Registry is not thread-safe
-    // and the shared element counters would race across node threads.
-    flow_ = std::make_unique<dataflow::Engine>(*plan_, builtins, nullptr);
-  }
-  for (const auto& rule : program_->rules) {
-    if (rule.is_fact()) continue;
-    (rule.head.has_aggregate() ? agg_rules_ : normal_rules_).push_back(&rule);
-  }
-}
+      // Null registry: obs::Registry is not thread-safe and the shared
+      // dataflow element counters would race across node threads.
+      exec_(program, name_, static_cast<runtime::NodeHost&>(*this), nullptr),
+      epoch_(std::chrono::steady_clock::now()) {}
 
 double Node::now_ms() const {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
@@ -45,51 +28,7 @@ double Node::now_ms() const {
 
 void Node::seed(Tuple fact) { seeds_.push_back(std::move(fact)); }
 
-const Node::PredInfo& Node::pred_info(const std::string& predicate) const {
-  auto it = pred_cache_.find(predicate);
-  if (it != pred_cache_.end()) return it->second;
-  PredInfo info;
-  if (catalog_->contains(predicate)) {
-    const auto& ci = catalog_->info(predicate);
-    info.loc_index = ci.loc_index;
-    info.transient = ci.lifetime_seconds.has_value() && *ci.lifetime_seconds == 0.0;
-    info.key_fields = &ci.key_fields;
-  }
-  return pred_cache_.emplace(predicate, info).first->second;
-}
-
-const std::string& Node::location_of(const Tuple& tuple) const {
-  const std::size_t idx = pred_info(tuple.predicate()).loc_index;
-  if (idx >= tuple.arity() || !tuple.at(idx).is_addr()) {
-    throw ndlog::AnalysisError("tuple " + tuple.to_string() +
-                               " has no address at its location attribute");
-  }
-  return tuple.at(idx).as_addr();
-}
-
-bool Node::TupleKeyLess::operator()(const Tuple& a, const Tuple& b) const {
-  if (int c = a.predicate().compare(b.predicate()); c != 0) return c < 0;
-  const auto* kf = node->pred_info(a.predicate()).key_fields;
-  if (kf == nullptr || kf->empty()) return a < b;  // whole tuple is the key
-  for (std::size_t f : *kf) {
-    if (f < 1 || f > a.arity() || f > b.arity()) continue;
-    const ndlog::Value& va = a.at(f - 1);
-    const ndlog::Value& vb = b.at(f - 1);
-    if (va < vb) return true;
-    if (vb < va) return false;
-  }
-  return false;
-}
-
-void Node::note_insert(const Tuple& tuple) {
-  if (flow_) flow_->on_insert(tuple, db_);
-}
-
-void Node::note_erase(const Tuple& tuple) {
-  if (flow_) flow_->on_erase(tuple, db_);
-}
-
-void Node::tuple_event(const char* kind, const Tuple& tuple) {
+void Node::tuple_event(std::string_view kind, const Tuple& tuple) {
   if (obs_.tuple_events != nullptr && *obs_.tuple_events) {
     (*obs_.tuple_events)(kind, name_, tuple, now_ms() / 1000.0);
   }
@@ -101,194 +40,24 @@ void Node::tuple_event(const char* kind, const Tuple& tuple) {
           obs::json_escape(tuple.to_string()) + "\"}");
 }
 
-bool Node::install(const Tuple& tuple) {
-  auto it = by_key_.find(tuple);
-  bool changed = false;
-  if (it == by_key_.end()) {
-    by_key_.insert(tuple);
-    db_.insert(tuple);
-    note_insert(tuple);
-    tuple_event("install", tuple);
-    changed = true;
-  } else if (!(*it == tuple)) {
-    // Keyed overwrite (P2 materialize semantics), exactly as the simulator.
-    db_.erase(*it);
-    note_erase(*it);
-    tuple_event("retract", *it);
-    auto slot = by_key_.extract(it);
-    slot.value() = tuple;  // same key fields: the set's order is undisturbed
-    by_key_.insert(std::move(slot));
-    db_.insert(tuple);
-    note_insert(tuple);
-    tuple_event("install", tuple);
-    ++stats_.overwrites;
-    changed = true;
-  }
-  if (changed) {
-    ++stats_.installed;
-    if (obs_.installed != nullptr) obs_.installed->add(1);
-  }
-  return changed;
+void Node::installed(const std::string& /*node*/, const Tuple& tuple, bool overwrite,
+                     double /*now*/) {
+  ++stats_.installed;
+  if (overwrite) ++stats_.overwrites;
+  if (obs_.installed != nullptr) obs_.installed->add(1);
+  tuple_event("install", tuple);
 }
 
-void Node::route(Tuple tuple) {
-  const std::string& dest = location_of(tuple);
-  if (dest == name_) {
-    deliver(std::move(tuple), /*transient=*/false);
-  } else {
-    ship(std::move(tuple), dest);
-  }
+void Node::erased(std::string_view kind, const std::string& /*node*/, const Tuple& tuple,
+                  double /*now*/) {
+  tuple_event(kind, tuple);
 }
 
-void Node::run_rules(const Tuple& delta) {
-  std::vector<Tuple> produced;
-  if (flow_) {
-    flow_->process(delta, db_, produced);
-  } else {
-    TupleSet delta_set{delta};
-    for (const Rule* rule : normal_rules_) {
-      const auto atoms = ndlog::RuleEngine::positive_atoms(*rule);
-      for (std::size_t i = 0; i < atoms.size(); ++i) {
-        if (atoms[i]->atom.predicate != delta.predicate()) continue;
-        engine_.eval_rule_delta(*rule, db_, i, delta_set,
-                                [&](Tuple t) { produced.push_back(std::move(t)); });
-      }
-    }
-  }
-  for (auto& t : produced) route(std::move(t));
-}
-
-bool Node::run_agg_rules() {
-  if (agg_rules_.empty()) return false;
-  bool any_changed = false;
-  if (flow_) {
-    for (std::size_t i = 0; i < plan_->aggregates.size(); ++i) {
-      if (flow_->aggregate_incremental(i)) {
-        // Diff flush: only the groups whose aggregate value moved come back,
-        // so maintenance costs O(changes), not O(groups), per batch.
-        if (!flow_->flush_aggregate_diff(i, agg_deltas_)) continue;
-        any_changed = true;
-        for (auto& d : agg_deltas_) {
-          if (d.retract.has_value() && location_of(*d.retract) == name_ &&
-              db_.erase(*d.retract)) {
-            note_erase(*d.retract);
-            tuple_event("retract", *d.retract);
-            by_key_.erase(*d.retract);
-          }
-          if (!d.assert_now.has_value()) continue;
-          const std::string dest = location_of(*d.assert_now);
-          if (dest == name_) {
-            if (install(*d.assert_now)) {
-              if (agg_collect_ != nullptr) {
-                agg_collect_->push_back(std::move(*d.assert_now));
-              } else {
-                run_rules(*d.assert_now);
-              }
-            }
-          } else {
-            ship(std::move(*d.assert_now), dest);
-          }
-        }
-        continue;
-      }
-      const Rule* rule = &program_->rules[plan_->aggregates[i].rule_index];
-      auto maybe_outputs = flow_->flush_aggregate(i, db_);
-      if (!maybe_outputs) continue;  // provably unchanged since the last flush
-      TupleSet outputs = std::move(*maybe_outputs);
-      TupleSet& prev = agg_cache_[rule];
-      if (outputs == prev) continue;
-      any_changed = true;
-      for (const auto& old_row : prev) {
-        if (outputs.count(old_row)) continue;
-        if (location_of(old_row) != name_) continue;  // remote copies are theirs
-        if (db_.erase(old_row)) {
-          note_erase(old_row);
-          tuple_event("retract", old_row);
-          by_key_.erase(old_row);
-        }
-      }
-      std::vector<Tuple> added;
-      for (const auto& row : outputs) {
-        if (!prev.count(row)) added.push_back(row);
-      }
-      prev = outputs;
-      for (auto& t : added) {
-        const std::string dest = location_of(t);
-        if (dest == name_) {
-          if (install(t)) {
-            if (agg_collect_ != nullptr) {
-              agg_collect_->push_back(std::move(t));
-            } else {
-              run_rules(t);
-            }
-          }
-        } else {
-          ship(std::move(t), dest);
-        }
-      }
-    }
-    return any_changed;
-  }
-  for (const Rule* rule : agg_rules_) {
-    TupleSet outputs;
-    engine_.eval_agg_rule(*rule, db_, [&](Tuple t) { outputs.insert(std::move(t)); });
-    TupleSet& prev = agg_cache_[rule];
-    if (outputs == prev) continue;
-    any_changed = true;
-    // Incremental view maintenance: retract groups that disappeared or whose
-    // aggregate value changed, then install/ship the new rows (same
-    // diff-against-cache flow as runtime::Simulator::run_agg_rules).
-    for (const auto& old_row : prev) {
-      if (outputs.count(old_row)) continue;
-      if (location_of(old_row) != name_) continue;
-      if (db_.erase(old_row)) {
-        tuple_event("retract", old_row);
-        by_key_.erase(old_row);
-      }
-    }
-    std::vector<Tuple> added;
-    for (const auto& row : outputs) {
-      if (!prev.count(row)) added.push_back(row);
-    }
-    prev = outputs;
-    for (auto& t : added) {
-      const std::string dest = location_of(t);
-      if (dest == name_) {
-        if (install(t)) {
-          if (agg_collect_ != nullptr) {
-            agg_collect_->push_back(std::move(t));
-          } else {
-            run_rules(t);
-          }
-        }
-      } else {
-        ship(std::move(t), dest);
-      }
-    }
-  }
-  return any_changed;
-}
-
-void Node::flush_agg_rules() {
-  // A pass's own installs (a new best row firing ordinary rules) can re-dirty
-  // an aggregate, so repeat until a pass changes nothing.
-  while (run_agg_rules()) {
-  }
-}
-
-void Node::deliver(Tuple tuple, bool transient) {
-  if (transient) {
-    run_rules(tuple);
-    return;
-  }
-  if (!install(tuple)) return;  // duplicate: no re-derivation
-  run_rules(tuple);
-}
-
-void Node::ship(Tuple tuple, const std::string& dest) {
-  // NB: callers may pass `dest` referencing a Value inside `tuple`; a Tuple
-  // move steals the values vector's buffer without relocating the elements,
-  // so the reference stays valid for the map lookup below.
+void Node::ship(const std::string& /*node*/, Tuple tuple, const std::string& dest,
+                double /*now*/) {
+  // `dest` may reference a Value inside `tuple`; a Tuple move steals the
+  // values vector's buffer without relocating the elements, so the reference
+  // stays valid for the map lookup below.
   auto& buf = outbuf_[dest];
   if (buf.empty()) ++outbuf_dirty_;
   buf.push_back(std::move(tuple));
@@ -387,69 +156,13 @@ void Node::send_ack(const std::string& dest, std::uint64_t cumulative_seq) {
   transport_->send(name_, dest, std::move(bytes));
 }
 
-void Node::deliver_tuples(std::vector<Tuple>&& tuples) {
-  if (pool_ != nullptr) {
-    deliver_tuples_parallel(std::move(tuples));
-    return;
-  }
-  for (auto& t : tuples) {
-    const bool transient = pred_info(t.predicate()).transient;
-    deliver(std::move(t), transient);
-  }
-  // One aggregate flush per delivered batch instead of per tuple — with
-  // batching this is where most of the cluster's rule-evaluation time went.
-  flush_agg_rules();
-}
-
-void Node::deliver_tuples_parallel(std::vector<Tuple>&& tuples) {
-  // Round 0: serial installs in batch order (the exact order the serial
-  // path would use); survivors plus transients form the delta frontier.
-  std::vector<Tuple> frontier;
-  for (auto& t : tuples) {
-    if (pred_info(t.predicate()).transient) {
-      frontier.push_back(std::move(t));
-    } else if (install(t)) {
-      frontier.push_back(std::move(t));
-    }
-  }
-  while (!frontier.empty()) {
-    // Freeze the database for this round: build every probeable index now,
-    // then the workers' concurrent lookups are pure reads.
-    pool_->prewarm(db_);
-    std::vector<dataflow::RoundItem> items;
-    items.reserve(frontier.size());
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      items.push_back(dataflow::RoundItem{&frontier[i], &db_, i});
-    }
-    std::vector<std::pair<std::size_t, Tuple>> produced;
-    pool_->process_round(items, produced);
-
-    // Barrier: installs, ships and aggregate flushes serialize again, in
-    // the pool's deterministic shard-major merge order.
-    std::vector<Tuple> next;
-    for (auto& [tag, t] : produced) {
-      (void)tag;  // single node: every delta is ours
-      const std::string& dest = location_of(t);
-      if (dest == name_) {
-        if (install(t)) next.push_back(std::move(t));
-      } else {
-        ship(std::move(t), dest);
-      }
-    }
-    agg_collect_ = &next;
-    flush_agg_rules();
-    agg_collect_ = nullptr;
-    frontier = std::move(next);
-  }
-}
-
 void Node::handle_batch(Frame&& frame) {
   if (!reliability_.enabled) {
     // Raw mode: process in arrival order, no dedup (fault-free transports only).
     ++stats_.received;
     stats_.tuples_received += frame.tuples.size();
     if (obs_.received != nullptr) obs_.received->add(1);
-    deliver_tuples(std::move(frame.tuples));
+    exec_.deliver_batch(frame.tuples, now_ms() / 1000.0);
     return;
   }
   const std::string src = frame.src;
@@ -474,7 +187,7 @@ void Node::handle_batch(Frame&& frame) {
     ++stats_.received;
     stats_.tuples_received += batch.size();
     if (obs_.received != nullptr) obs_.received->add(1);
-    deliver_tuples(std::move(batch));
+    exec_.deliver_batch(batch, now_ms() / 1000.0);
     auto it = in.reassembly.find(in.next_expected);
     if (it == in.reassembly.end()) break;
     batch = std::move(it->second);
@@ -531,7 +244,10 @@ bool Node::sweep() {
   std::uint64_t drained = 0;
   while (rx_cursor_ != nullptr ? transport_->recv(rx_cursor_, bytes)
                                : transport_->recv(name_, bytes)) {
-    ++drained;
+    // Not idle from the first frame on: until this sweep's flush ships what
+    // the frame derives, those tuples sit in outbuf_ where the coordinator's
+    // quiescence scan cannot see them.
+    if (drained++ == 0) idle_.store(false, std::memory_order_release);
     handle_frame(bytes);
     activity_.fetch_add(1, std::memory_order_acq_rel);
   }
@@ -545,19 +261,8 @@ bool Node::sweep() {
 void Node::run(const std::atomic<bool>& stop) {
   try {
     rx_cursor_ = transport_->rx_cursor(name_);
-    if (pool_ != nullptr) {
-      // The seed batch goes through the same round machinery as delivered
-      // batches (deliver_tuples_parallel flushes aggregates per round).
-      activity_.fetch_add(seeds_.size(), std::memory_order_acq_rel);
-      std::vector<Tuple> seeds = std::move(seeds_);
-      deliver_tuples_parallel(std::move(seeds));
-    } else {
-      for (auto& fact : seeds_) {
-        deliver(std::move(fact), /*transient=*/false);
-        activity_.fetch_add(1, std::memory_order_acq_rel);
-      }
-      flush_agg_rules();
-    }
+    exec_.deliver_batch(seeds_, now_ms() / 1000.0);
+    activity_.fetch_add(seeds_.size(), std::memory_order_acq_rel);
     seeds_.clear();
     flush_channels();  // the seeds' derivations ship before the first sweep
     std::uint32_t idle_streak = 0;

@@ -1,14 +1,13 @@
 // fvn::net node runtime — one concurrently-executing NDlog node (DESIGN.md
-// §12). A Node owns its slice of the distributed database and an executor
-// over it (interpreter RuleEngine or compiled dataflow::Engine), and runs an
-// event loop on its own std::thread:
+// §12). A Node runs an event loop on its own std::thread:
 //
 //   pump held frames -> retransmit overdue -> drain mailbox -> flush batches
 //
-// Rule semantics deliberately mirror runtime::Simulator install/run_rules/
-// run_agg_rules line for line (keyed overwrite, aggregate diff-against-cache,
-// "remote copies age out") so the differential suite can demand an *identical*
-// merged fixpoint from both executives.
+// Its slice of the distributed database and the rule semantics over it live
+// in a runtime::NodeExec — the same executive each simulated node runs — so
+// the differential suite can demand an *identical* merged fixpoint from the
+// Simulator and the Cluster. The Node itself owns the thread, the channels,
+// batching and reliability.
 //
 // Shipping is *batched*: derived tuples bound for a remote node accumulate in
 // a per-destination channel buffer and flush as one DataBatch wire frame per
@@ -45,23 +44,16 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <queue>
-#include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "dataflow/engine.hpp"
-#include "dataflow/plan.hpp"
-#include "dataflow/workers.hpp"
-#include "ndlog/catalog.hpp"
-#include "ndlog/eval.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/node_exec.hpp"
 
 namespace fvn::net {
 
@@ -140,18 +132,11 @@ struct NodeStats {
 
 /// One distributed NDlog node. Construct, seed(), then start(); the Cluster
 /// owns the lifecycle.
-class Node {
+class Node : private runtime::NodeHost {
  public:
-  /// `program`, `catalog`, `builtins`, `plan`, `transport` and `pool` must
-  /// outlive the node; `plan` is null in interpreter mode. `pool` (may be
-  /// null = serial) is this node's private shard-parallel worker pool: the
-  /// Cluster only hands one over when fvn::ndlog::parallel certified the
-  /// program, and the node then evaluates each delivered batch in
-  /// shard-keyed rounds instead of per-tuple cascades.
-  Node(std::string name, const ndlog::Program& program, const ndlog::Catalog& catalog,
-       const ndlog::BuiltinRegistry& builtins, const dataflow::Plan* plan,
-       Transport& transport, ReliabilityOptions reliability, NodeObs obs,
-       dataflow::WorkerPool* pool = nullptr);
+  /// `program` and `transport` must outlive the node.
+  Node(std::string name, const runtime::PreparedProgram& program, Transport& transport,
+       ReliabilityOptions reliability, NodeObs obs);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -182,7 +167,7 @@ class Node {
   // --- Post-join accessors (thread must have exited) ------------------------
 
   const std::string& error() const noexcept { return error_; }
-  const ndlog::Database& database() const noexcept { return db_; }
+  const ndlog::Database& database() const noexcept { return exec_.database(); }
   const NodeStats& stats() const noexcept { return stats_; }
 
  private:
@@ -208,84 +193,32 @@ class Node {
     std::uint64_t seq = 0;
     bool operator>(const Due& other) const { return due_ms > other.due_ms; }
   };
-  /// Catalog facts consulted per routed/delivered tuple, interned once per
-  /// predicate name so the hot path never repeats a std::map string walk.
-  struct PredInfo {
-    std::size_t loc_index = 0;
-    bool transient = false;           // lifetime 0: deliver without installing
-    const std::vector<std::size_t>* key_fields = nullptr;  // null or empty = whole tuple
-  };
-  /// Keyed-overwrite identity order: tuples sort by predicate then by their
-  /// declared key fields (whole tuple when none declared). Comparing Values
-  /// in place replaces the old stringified-key map — installs no longer pay
-  /// a to_string allocation per key field.
-  struct TupleKeyLess {
-    const Node* node = nullptr;
-    bool operator()(const ndlog::Tuple& a, const ndlog::Tuple& b) const;
-  };
 
   double now_ms() const;
   bool sweep();  ///< one loop iteration; true if any frame was processed
   void handle_frame(const std::string& bytes);
   void handle_batch(Frame&& frame);
-  void deliver_tuples(std::vector<ndlog::Tuple>&& tuples);
-  /// Shard-parallel variant (pool_ != null): install the batch serially,
-  /// then evaluate the surviving deltas in worker rounds with installs,
-  /// aggregate flushes and ships serialized at each round barrier — the
-  /// simulator's deliver_parallel_batch, restricted to one node.
-  void deliver_tuples_parallel(std::vector<ndlog::Tuple>&& tuples);
   void send_ack(const std::string& dest, std::uint64_t cumulative_seq);
   void retransmit_due();
-  void ship(ndlog::Tuple tuple, const std::string& dest);
   void flush_channels();
 
-  // Rule semantics (mirrors runtime::Simulator).
-  void deliver(ndlog::Tuple tuple, bool transient);
-  bool install(const ndlog::Tuple& tuple);
-  void run_rules(const ndlog::Tuple& delta);
-  /// One aggregate maintenance pass; true if any aggregate row changed.
-  bool run_agg_rules();
-  /// Aggregate flush at batch granularity: deliver() skips per-tuple
-  /// aggregate recomputation (the simulator's cadence) and each delivered
-  /// batch/seed round ends with passes until no aggregate moves. Confluent
-  /// with the per-tuple cadence: delivery order is already arbitrary under
-  /// reorder faults, so the differential fixpoint cannot depend on where
-  /// the flush boundaries fall.
-  void flush_agg_rules();
-  void route(ndlog::Tuple tuple);  ///< local -> deliver, remote -> ship
-  const std::string& location_of(const ndlog::Tuple& tuple) const;
-  const PredInfo& pred_info(const std::string& predicate) const;
-  void note_insert(const ndlog::Tuple& tuple);
-  void note_erase(const ndlog::Tuple& tuple);
-  /// Structured tuple-event emission into obs_.tuple_trace (no-op when null);
-  /// `kind` is "install" or "retract" (no soft state in the cluster, so no
-  /// "expire").
-  void tuple_event(const char* kind, const ndlog::Tuple& tuple);
+  // NodeHost: what the executive reports (`now` is unused — events are
+  // stamped with the node clock when they happen).
+  void ship(const std::string& node, ndlog::Tuple tuple, const std::string& dest,
+            double now) override;
+  void installed(const std::string& node, const ndlog::Tuple& tuple, bool overwrite,
+                 double now) override;
+  void erased(std::string_view kind, const std::string& node, const ndlog::Tuple& tuple,
+              double now) override;
+  /// Structured tuple-event emission into obs_.tuple_trace/tuple_events
+  /// (no-op when both are null).
+  void tuple_event(std::string_view kind, const ndlog::Tuple& tuple);
 
   std::string name_;
-  const ndlog::Program* program_;
-  const ndlog::Catalog* catalog_;
-  const ndlog::BuiltinRegistry* builtins_;
   Transport* transport_;
   ReliabilityOptions reliability_;
   NodeObs obs_;
-
-  ndlog::RuleEngine engine_;
-  std::unique_ptr<dataflow::Engine> flow_;  // dataflow mode only
-  std::vector<const ndlog::Rule*> normal_rules_;
-  std::vector<const ndlog::Rule*> agg_rules_;
-  const dataflow::Plan* plan_;
-  dataflow::WorkerPool* pool_;  // null = serial evaluation
-  /// Non-null only inside deliver_tuples_parallel: run_agg_rules appends
-  /// locally installed aggregate rows here (next round's deltas) instead of
-  /// cascading through run_rules immediately.
-  std::vector<ndlog::Tuple>* agg_collect_ = nullptr;
-
-  ndlog::Database db_;
-  /// One entry per keyed-overwrite slot; the element is the installed tuple.
-  std::set<ndlog::Tuple, TupleKeyLess> by_key_{TupleKeyLess{this}};
-  std::map<const ndlog::Rule*, ndlog::TupleSet> agg_cache_;
-  std::vector<dataflow::Engine::AggDelta> agg_deltas_;  // diff-flush scratch
+  runtime::NodeExec exec_;
   std::vector<ndlog::Tuple> seeds_;
 
   std::map<std::string, OutChannel> out_;
@@ -297,7 +230,6 @@ class Node {
   /// Count of non-empty outbuf_ buffers, so idle sweeps skip the flush scan.
   std::size_t outbuf_dirty_ = 0;
   std::priority_queue<Due, std::vector<Due>, std::greater<Due>> due_heap_;
-  mutable std::unordered_map<std::string, PredInfo> pred_cache_;
 
   /// Transport mailbox cursor for name_, cached at run() start so the sweep
   /// loop's mailbox polls skip the name lookup. Null = use the name path.

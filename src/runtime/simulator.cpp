@@ -1,18 +1,13 @@
 #include "runtime/simulator.hpp"
 
-#include <algorithm>
 #include <cassert>
 
-#include "ndlog/parallel.hpp"
 #include "obs/json.hpp"
-#include "runtime/localize.hpp"
 
 namespace fvn::runtime {
 
 using ndlog::Database;
-using ndlog::Rule;
 using ndlog::Tuple;
-using ndlog::TupleSet;
 using ndlog::Value;
 
 namespace {
@@ -36,108 +31,36 @@ std::uint64_t derive_loss_seed(std::uint64_t x) {
 
 Simulator::Simulator(ndlog::Program program, SimOptions options,
                      const ndlog::BuiltinRegistry& builtins)
-    : program_(localize(program)),
-      catalog_(ndlog::Catalog::from_program(program_)),
+    : prepared_(program, builtins, options.require_stratified, plan_options_of(options)),
       options_(options),
-      builtins_(&builtins),
-      engine_(builtins),
       rng_(options.seed),
       loss_rng_(derive_loss_seed(options.seed)) {
-  ndlog::check_arities(program_);
-  ndlog::check_safety(program_, builtins);
-  if (options_.require_stratified) ndlog::stratify(program_);
-  if (options_.engine == EngineKind::Dataflow) {
-    dataflow::PlanOptions plan_options;
-    plan_options.incremental_aggregates = options_.incremental_aggregates;
-    plan_options.cost_order = options_.cost_order;
-    plan_.emplace(dataflow::compile(program_, plan_options));
-  }
-  if (options_.workers >= 1) {
-    // Shard-parallel mode rides on the static certificate over the
-    // *localized* program (the form the per-node engines actually run).
-    ndlog::DiagnosticSink parallel_sink;
-    const auto report = ndlog::parallel::analyze(program_, parallel_sink);
-    if (report.certified) {
-      dataflow::WorkerPool::Config cfg;
-      cfg.workers = options_.workers;
-      cfg.plan = plan_ ? &*plan_ : nullptr;
-      cfg.program = &program_;
-      cfg.builtins = builtins_;
-      cfg.catalog = &catalog_;
-      cfg.router = dataflow::ShardRouter(report, catalog_);
-      pool_ = std::make_unique<dataflow::WorkerPool>(std::move(cfg));
-      stats_.parallel_active = true;
-    } else {
-      // Transparent fallback: run serial, but tell the caller why.
-      stats_.parallel_fallback_reason = report.fallback_reason.empty()
-                                            ? "program not certified"
-                                            : report.fallback_reason;
-    }
-  }
-  for (const auto& rule : program_.rules) {
-    if (rule.is_fact()) {
-      // Program-embedded ground facts are injected at t=0.
-      ndlog::Bindings empty;
-      std::vector<Value> values;
-      for (const auto& arg : rule.head.args) {
-        values.push_back(*ndlog::eval_term(*arg.term, empty, builtins));
-      }
-      inject(Tuple(rule.head.predicate, std::move(values)), 0.0);
-      continue;
-    }
-    (rule.head.has_aggregate() ? agg_rules_ : normal_rules_).push_back(&rule);
-    for (const auto& elem : rule.body) {
-      if (const auto* ba = std::get_if<ndlog::BodyAtom>(&elem)) {
-        if (ba->atom.predicate == "periodic") uses_periodic_ = true;
-        if (rule.head.has_aggregate()) agg_body_preds_.insert(ba->atom.predicate);
-      }
-    }
-  }
+  // Program-embedded ground facts are injected at t=0.
+  for (const auto& fact : prepared_.facts) inject(fact, 0.0);
 }
 
-void Simulator::add_node(const std::string& name) { node_states_[name]; }
+NodeExec& Simulator::exec(const std::string& node) {
+  return nodes_
+      .try_emplace(node, prepared_, node, static_cast<NodeHost&>(*this), options_.metrics)
+      .first->second;
+}
+
+void Simulator::add_node(const std::string& name) { exec(name); }
 
 void Simulator::set_link_delay(const std::string& from, const std::string& to,
                                double delay) {
   link_delays_[{from, to}] = delay;
 }
 
-const Simulator::PredInfo& Simulator::pred_info(const std::string& predicate) const {
-  auto it = pred_cache_.find(predicate);
-  if (it != pred_cache_.end()) return it->second;
-  PredInfo info;
-  if (catalog_.contains(predicate)) {
-    const auto& mat = catalog_.info(predicate);
-    info.loc_index = mat.loc_index;
-    info.lifetime = mat.lifetime_seconds;
-    info.transient = mat.lifetime_seconds.has_value() && *mat.lifetime_seconds == 0.0;
-    if (!mat.key_fields.empty()) info.key_fields = &mat.key_fields;
-  }
-  return pred_cache_.emplace(predicate, info).first->second;
-}
-
-std::string Simulator::location_of(const Tuple& tuple) const {
-  const std::size_t idx = pred_info(tuple.predicate()).loc_index;
-  if (idx >= tuple.arity() || !tuple.at(idx).is_addr()) {
-    throw ndlog::AnalysisError("tuple " + tuple.to_string() +
-                               " has no address at its location attribute");
-  }
-  return tuple.at(idx).as_addr();
-}
-
-void Simulator::schedule(Event event) {
-  event.sequence = ++sequence_;
-  queue_.push(std::move(event));
+void Simulator::schedule(double time, Event::Kind kind, const std::string& node,
+                         Tuple tuple) {
+  queue_.push(Event{time, ++sequence_, kind, node, std::move(tuple)});
 }
 
 void Simulator::inject(const Tuple& fact, double time) {
-  Event e;
-  e.time = time;
-  e.kind = Event::Kind::Deliver;
-  e.node = location_of(fact);
-  e.tuple = fact;
-  add_node(e.node);
-  schedule(std::move(e));
+  const std::string& node = prepared_.location_of(fact);
+  add_node(node);
+  schedule(time, Event::Kind::Deliver, node, fact);
 }
 
 void Simulator::inject_all(const std::vector<Tuple>& facts, double time) {
@@ -145,41 +68,10 @@ void Simulator::inject_all(const std::vector<Tuple>& facts, double time) {
 }
 
 void Simulator::retract(const Tuple& fact, double time) {
-  Event e;
-  e.time = time;
-  e.kind = Event::Kind::Retract;
-  e.node = location_of(fact);
-  e.tuple = fact;
-  schedule(std::move(e));
+  schedule(time, Event::Kind::Retract, prepared_.location_of(fact), fact);
 }
 
 void Simulator::add_monitor(Monitor monitor) { monitors_.push_back(std::move(monitor)); }
-
-std::string Simulator::key_of(const Tuple& tuple) const {
-  std::string key = tuple.predicate();
-  const PredInfo& info = pred_info(tuple.predicate());
-  if (info.key_fields == nullptr) return key + "|" + tuple.to_string();
-  for (std::size_t f : *info.key_fields) {
-    if (f >= 1 && f <= tuple.arity()) key += "|" + tuple.at(f - 1).to_string();
-  }
-  return key;
-}
-
-dataflow::Engine& Simulator::flow(NodeState& state) {
-  if (!state.flow) {
-    state.flow =
-        std::make_unique<dataflow::Engine>(*plan_, *builtins_, options_.metrics);
-  }
-  return *state.flow;
-}
-
-void Simulator::note_insert(NodeState& state, const Tuple& tuple) {
-  if (plan_) flow(state).on_insert(tuple, state.db);
-}
-
-void Simulator::note_erase(NodeState& state, const Tuple& tuple) {
-  if (plan_) flow(state).on_erase(tuple, state.db);
-}
 
 void Simulator::tuple_event(std::string_view kind, const std::string& node,
                             const Tuple& tuple, double now) {
@@ -192,68 +84,47 @@ void Simulator::tuple_event(std::string_view kind, const std::string& node,
   }
 }
 
-bool Simulator::install(NodeState& state, const std::string& node, const Tuple& tuple,
-                        double now) {
-  const std::optional<double> lifetime = pred_info(tuple.predicate()).lifetime;
-  const std::string key = key_of(tuple);
-  auto it = state.by_key.find(key);
-  bool changed = false;
-  if (it == state.by_key.end()) {
-    state.by_key.emplace(key, tuple);
-    state.db.insert(tuple);
-    note_insert(state, tuple);
-    changed = true;
-  } else if (!(it->second == tuple)) {
-    // Key overwrite (P2 materialize semantics).
-    state.db.erase(it->second);
-    note_erase(state, it->second);
-    tuple_event("retract", node, it->second, now);
-    state.expires_at.erase(it->second);
-    it->second = tuple;
-    state.db.insert(tuple);
-    note_insert(state, tuple);
+void Simulator::installed(const std::string& node, const Tuple& tuple, bool overwrite,
+                          double now) {
+  if (overwrite) {
     ++stats_.overwrites;
     if (options_.metrics != nullptr) {
       options_.metrics->counter("sim/node/" + node + "/overwrites").add(1);
     }
-    changed = true;
   }
-  if (lifetime) {
-    const double expiry = now + *lifetime;
-    state.expires_at[tuple] = expiry;
-    Event e;
-    e.time = expiry;
-    e.kind = Event::Kind::Expire;
-    e.node = node;
-    e.tuple = tuple;
-    schedule(std::move(e));
+  ++stats_.tuples_derived;
+  stats_.last_change_time = now;
+  stats_.last_change_by_predicate[tuple.predicate()] = now;
+  if (options_.record_trace) {
+    trace_.push_back(TraceEntry{now, TraceEntry::Kind::Install, node, tuple.to_string()});
   }
-  if (changed) {
-    ++stats_.tuples_derived;
-    stats_.last_change_time = now;
-    stats_.last_change_by_predicate[tuple.predicate()] = now;
-    if (options_.record_trace) {
-      trace_.push_back(TraceEntry{now, TraceEntry::Kind::Install, node, tuple.to_string()});
-    }
-    if (options_.metrics != nullptr) {
-      options_.metrics->counter("sim/node/" + node + "/installed").add(1);
-    }
-    if (options_.obs_trace != nullptr) {
-      options_.obs_trace->instant_at(sim_ts(now), "install " + tuple.predicate(), "sim",
-                                     "{\"node\":\"" + obs::json_escape(node) + "\"}");
-      options_.obs_trace->counter_at(sim_ts(now), "sim/installs", "sim",
-                                     static_cast<double>(stats_.tuples_derived));
-    }
-    tuple_event("install", node, tuple, now);
-    for (const auto& m : monitors_) {
-      if (!m(node, tuple, now)) ++stats_.monitor_violations;
-    }
+  if (options_.metrics != nullptr) {
+    options_.metrics->counter("sim/node/" + node + "/installed").add(1);
   }
-  return changed;
+  if (options_.obs_trace != nullptr) {
+    options_.obs_trace->instant_at(sim_ts(now), "install " + tuple.predicate(), "sim",
+                                   "{\"node\":\"" + obs::json_escape(node) + "\"}");
+    options_.obs_trace->counter_at(sim_ts(now), "sim/installs", "sim",
+                                   static_cast<double>(stats_.tuples_derived));
+  }
+  tuple_event("install", node, tuple, now);
+  for (const auto& m : monitors_) {
+    if (!m(node, tuple, now)) ++stats_.monitor_violations;
+  }
 }
 
-void Simulator::send(const std::string& from, const Tuple& tuple, double now) {
-  const std::string to = location_of(tuple);
+void Simulator::erased(std::string_view kind, const std::string& node, const Tuple& tuple,
+                       double now) {
+  stats_.last_change_time = now;
+  tuple_event(kind, node, tuple, now);
+}
+
+void Simulator::expires(const std::string& node, const Tuple& tuple, double at) {
+  schedule(at, Event::Kind::Expire, node, tuple);
+}
+
+void Simulator::ship(const std::string& from, Tuple tuple, const std::string& to,
+                     double now) {
   ++stats_.messages_sent;
   if (options_.record_trace) {
     trace_.push_back(
@@ -284,297 +155,8 @@ void Simulator::send(const std::string& from, const Tuple& tuple, double now) {
     std::uniform_real_distribution<double> j(0.0, options_.delay_jitter);
     delay *= 1.0 + j(rng_);
   }
-  Event e;
-  e.time = now + delay;
-  e.kind = Event::Kind::Deliver;
-  e.node = to;
-  e.tuple = tuple;
-  schedule(std::move(e));
-}
-
-void Simulator::run_rules(const std::string& node, const Tuple& delta, double now) {
-  NodeState& state = node_states_[node];
-  std::vector<Tuple> produced;
-  if (plan_) {
-    flow(state).process(delta, state.db, produced);
-  } else {
-    TupleSet delta_set{delta};
-    for (const Rule* rule : normal_rules_) {
-      const auto atoms = ndlog::RuleEngine::positive_atoms(*rule);
-      std::uint64_t firings = 0;
-      for (std::size_t i = 0; i < atoms.size(); ++i) {
-        if (atoms[i]->atom.predicate != delta.predicate()) continue;
-        engine_.eval_rule_delta(*rule, state.db, i, delta_set, [&](Tuple t) {
-          ++firings;
-          produced.push_back(std::move(t));
-        });
-      }
-      if (firings != 0 && options_.metrics != nullptr) {
-        options_.metrics->counter("sim/rule/" + rule->display_name() + "/firings")
-            .add(firings);
-      }
-    }
-  }
-  for (auto& t : produced) {
-    const std::string dest = location_of(t);
-    if (dest == node) {
-      deliver(node, t, now, /*transient=*/false);
-    } else {
-      send(node, t, now);
-    }
-  }
-}
-
-void Simulator::run_agg_rules(const std::string& node, double now,
-                              std::vector<Tuple>* collect) {
-  if (agg_rules_.empty()) return;
-  if (plan_) {
-    run_agg_rules_dataflow(node, now, collect);
-    return;
-  }
-  NodeState& state = node_states_[node];
-  for (const Rule* rule : agg_rules_) {
-    TupleSet outputs;
-    std::uint64_t firings = 0;
-    engine_.eval_agg_rule(*rule, state.db, [&](Tuple t) {
-      ++firings;
-      outputs.insert(std::move(t));
-    });
-    if (firings != 0 && options_.metrics != nullptr) {
-      options_.metrics->counter("sim/rule/" + rule->display_name() + "/firings")
-          .add(firings);
-    }
-    TupleSet& prev = state.agg_cache[rule];
-    if (outputs == prev) continue;
-    // Incremental view maintenance: retract groups that disappeared or whose
-    // aggregate value changed, then install/ship the new rows.
-    for (const auto& old_row : prev) {
-      if (outputs.count(old_row)) continue;
-      if (location_of(old_row) != node) continue;  // remote copies age out
-      if (state.db.erase(old_row)) {
-        state.by_key.erase(key_of(old_row));
-        state.expires_at.erase(old_row);
-        stats_.last_change_time = now;
-        tuple_event("retract", node, old_row, now);
-        if (pool_ != nullptr && agg_body_preds_.count(old_row.predicate()) != 0) {
-          state.agg_stale = true;  // a chained aggregate reads this output
-        }
-      }
-    }
-    std::vector<Tuple> added;
-    for (const auto& row : outputs) {
-      if (!prev.count(row)) added.push_back(row);
-    }
-    prev = outputs;
-    for (const auto& t : added) {
-      const std::string dest = location_of(t);
-      if (dest == node) {
-        if (install(state, node, t, now)) {
-          if (collect != nullptr) {
-            collect->push_back(t);  // next parallel round picks it up
-          } else {
-            run_rules(node, t, now);
-          }
-        }
-      } else {
-        send(node, t, now);
-      }
-    }
-  }
-}
-
-void Simulator::run_agg_rules_dataflow(const std::string& node, double now,
-                                       std::vector<Tuple>* collect) {
-  // Mirrors the interpreter's run_agg_rules exactly — same rule order, same
-  // diff-against-cache flow, same emission order (the engine builds the
-  // output set by the same sorted-group insertion sequence eval_agg_rule
-  // uses) — except the output view comes from incrementally maintained
-  // group state instead of a full recompute.
-  NodeState& state = node_states_[node];
-  dataflow::Engine& engine = flow(state);
-  for (std::size_t i = 0; i < plan_->aggregates.size(); ++i) {
-    const Rule* rule = &program_.rules[plan_->aggregates[i].rule_index];
-    auto maybe_outputs = engine.flush_aggregate(i, state.db);
-    if (!maybe_outputs) continue;  // provably unchanged since the last flush
-    TupleSet outputs = std::move(*maybe_outputs);
-    TupleSet& prev = state.agg_cache[rule];
-    if (outputs == prev) continue;
-    for (const auto& old_row : prev) {
-      if (outputs.count(old_row)) continue;
-      if (location_of(old_row) != node) continue;  // remote copies age out
-      if (state.db.erase(old_row)) {
-        note_erase(state, old_row);
-        state.by_key.erase(key_of(old_row));
-        state.expires_at.erase(old_row);
-        stats_.last_change_time = now;
-        tuple_event("retract", node, old_row, now);
-        if (pool_ != nullptr && agg_body_preds_.count(old_row.predicate()) != 0) {
-          state.agg_stale = true;  // a chained aggregate reads this output
-        }
-      }
-    }
-    std::vector<Tuple> added;
-    for (const auto& row : outputs) {
-      if (!prev.count(row)) added.push_back(row);
-    }
-    prev = outputs;
-    for (const auto& t : added) {
-      const std::string dest = location_of(t);
-      if (dest == node) {
-        if (install(state, node, t, now)) {
-          if (collect != nullptr) {
-            collect->push_back(t);  // next parallel round picks it up
-          } else {
-            run_rules(node, t, now);
-          }
-        }
-      } else {
-        send(node, t, now);
-      }
-    }
-  }
-}
-
-bool Simulator::is_transient(const Tuple& tuple) const {
-  if (tuple.predicate() == "periodic") return true;
-  return pred_info(tuple.predicate()).transient;
-}
-
-void Simulator::deliver_parallel_batch(Event first) {
-  const double now = first.time;
-  struct Pending {
-    std::string node;
-    Tuple tuple;
-  };
-  // Coalesce every delivery scheduled at this instant: deliveries at
-  // different nodes are independent in the serial schedule too (they touch
-  // disjoint databases; cross-node traffic re-enters the event queue), and
-  // same-node deliveries join the node's delta frontier.
-  std::vector<Event> events;
-  events.push_back(std::move(first));
-  while (!queue_.empty() && queue_.top().kind == Event::Kind::Deliver &&
-         queue_.top().time == now &&
-         stats_.events_processed < options_.max_events) {
-    Event e = queue_.top();
-    queue_.pop();
-    ++stats_.events_processed;
-    stats_.end_time = now;
-    if (options_.metrics != nullptr) {
-      options_.metrics->histogram("sim/queue_depth").observe(queue_.size() + 1);
-      options_.metrics->counter("sim/node/" + e.node + "/received").add(1);
-    }
-    if (options_.obs_trace != nullptr) {
-      options_.obs_trace->counter_at(sim_ts(now), "sim/queue_depth", "sim",
-                                     static_cast<double>(queue_.size() + 1));
-    }
-    events.push_back(std::move(e));
-  }
-  ++stats_.parallel_batches;
-
-  // Round 0 frontier: install every non-transient delivery (serialized, in
-  // event order — exactly the serial loop's install order), keep what
-  // changed the database plus the transients as deltas. A node joins
-  // `agg_pending` only when a predicate some aggregate body reads changed
-  // there (install or flagged erase): the aggregate pass is a full recompute
-  // in interpreter mode, and for any other node it would just rediscover the
-  // cached outputs.
-  std::vector<Pending> frontier;
-  std::set<std::string> touched;
-  std::set<std::string> agg_pending;
-  const auto agg_relevant = [this](const Tuple& t) {
-    return agg_body_preds_.count(t.predicate()) != 0;
-  };
-  for (auto& e : events) {
-    NodeState& state = node_states_[e.node];
-    if (is_transient(e.tuple)) {
-      touched.insert(e.node);
-      frontier.push_back(Pending{e.node, std::move(e.tuple)});
-    } else if (install(state, e.node, e.tuple, now)) {
-      touched.insert(e.node);
-      if (agg_relevant(e.tuple)) agg_pending.insert(e.node);
-      frontier.push_back(Pending{e.node, std::move(e.tuple)});
-    }
-    if (state.agg_stale) {
-      state.agg_stale = false;
-      agg_pending.insert(e.node);
-    }
-  }
-
-  // Round-local buffers hoisted out of the loop: rounds are short near the
-  // fixpoint tail, so per-round allocations show up in the workers=1 budget.
-  std::vector<dataflow::RoundItem> items;
-  std::vector<std::pair<std::size_t, Tuple>> produced;
-  std::vector<Pending> next;
-  std::set<std::string> next_touched;
-  std::set<std::string> next_agg_pending;
-  std::vector<Tuple> agg_added;
-  while (!frontier.empty() || !agg_pending.empty()) {
-    ++stats_.parallel_rounds;
-    next.clear();
-    next_touched.clear();
-    next_agg_pending.clear();
-    if (!frontier.empty()) {
-      // Freeze: pre-warm every index a worker probe can touch, then fan out.
-      for (const auto& node : touched) pool_->prewarm(node_states_[node].db);
-      items.clear();
-      items.reserve(frontier.size());
-      for (std::size_t i = 0; i < frontier.size(); ++i) {
-        items.push_back(dataflow::RoundItem{&frontier[i].tuple,
-                                            &node_states_[frontier[i].node].db, i});
-      }
-      produced.clear();
-      pool_->process_round(items, produced);
-
-      // Barrier: installs, sends and aggregate flushes are serial again, in
-      // the pool's deterministic merge order.
-      for (auto& [tag, t] : produced) {
-        const std::string& node = frontier[tag].node;
-        const std::string dest = location_of(t);
-        if (dest == node) {
-          if (install(node_states_[node], node, t, now)) {
-            next_touched.insert(node);
-            if (agg_relevant(t)) next_agg_pending.insert(node);
-            next.push_back(Pending{node, std::move(t)});
-          }
-        } else {
-          send(node, t, now);
-        }
-      }
-    }
-    // One aggregate pass per agg-relevant node per round (collect mode: new
-    // aggregate rows become next-round deltas instead of cascading here).
-    for (const auto& node : agg_pending) {
-      agg_added.clear();
-      run_agg_rules(node, now, &agg_added);
-      for (auto& t : agg_added) {
-        next_touched.insert(node);
-        if (agg_relevant(t)) next_agg_pending.insert(node);
-        next.push_back(Pending{node, std::move(t)});
-      }
-      NodeState& state = node_states_[node];
-      if (state.agg_stale) {
-        // The pass retracted a row another aggregate reads: revisit.
-        state.agg_stale = false;
-        next_agg_pending.insert(node);
-      }
-    }
-    std::swap(frontier, next);
-    std::swap(touched, next_touched);
-    std::swap(agg_pending, next_agg_pending);
-  }
-}
-
-void Simulator::deliver(const std::string& node, const Tuple& tuple, double now,
-                        bool transient) {
-  NodeState& state = node_states_[node];
-  if (transient) {
-    run_rules(node, tuple, now);
-    run_agg_rules(node, now);
-    return;
-  }
-  if (!install(state, node, tuple, now)) return;  // duplicate: no re-derivation
-  run_rules(node, tuple, now);
-  run_agg_rules(node, now);
+  const std::string dest = to;  // `to` may point into `tuple`, moved below
+  schedule(now + delay, Event::Kind::Deliver, dest, std::move(tuple));
 }
 
 SimStats Simulator::run() {
@@ -582,18 +164,15 @@ SimStats Simulator::run() {
   ran_ = true;
 
   // Periodic event pre-scheduling.
-  if (uses_periodic_ && options_.max_periodic_rounds > 0) {
+  if (prepared_.uses_periodic && options_.max_periodic_rounds > 0) {
     // Nodes known at start: everything referenced by queued events.
-    std::vector<std::string> names;
-    for (const auto& [name, state] : node_states_) names.push_back(name);
+    std::vector<std::string> names = nodes();
     for (const auto& name : names) {
       for (std::size_t k = 1; k <= options_.max_periodic_rounds; ++k) {
-        Event e;
-        e.time = static_cast<double>(k) * options_.periodic_interval;
-        e.kind = Event::Kind::Periodic;
-        e.node = name;
-        e.tuple = Tuple("periodic", {Value::addr(name), Value::real(options_.periodic_interval)});
-        schedule(std::move(e));
+        schedule(static_cast<double>(k) * options_.periodic_interval,
+                 Event::Kind::Periodic, name,
+                 Tuple("periodic",
+                       {Value::addr(name), Value::real(options_.periodic_interval)}));
       }
     }
   }
@@ -616,35 +195,19 @@ SimStats Simulator::run() {
       options_.obs_trace->counter_at(sim_ts(e.time), "sim/queue_depth", "sim",
                                      static_cast<double>(queue_.size() + 1));
     }
-    NodeState& state = node_states_[e.node];
+    NodeExec& node = exec(e.node);
     switch (e.kind) {
-      case Event::Kind::Deliver: {
+      case Event::Kind::Deliver:
         if (options_.metrics != nullptr) {
           options_.metrics->counter("sim/node/" + e.node + "/received").add(1);
         }
-        if (pool_ != nullptr) {
-          deliver_parallel_batch(std::move(e));
-          break;
-        }
-        deliver(e.node, e.tuple, e.time, is_transient(e.tuple));
+        node.deliver(e.tuple, e.time);
         break;
-      }
       case Event::Kind::Periodic:
-        deliver(e.node, e.tuple, e.time, /*transient=*/true);
+        node.deliver(e.tuple, e.time);
         break;
-      case Event::Kind::Expire: {
-        auto it = state.expires_at.find(e.tuple);
-        // Only expire if this event corresponds to the latest refresh.
-        if (it != state.expires_at.end() && it->second <= e.time + 1e-12) {
-          state.expires_at.erase(it);
-          if (state.db.erase(e.tuple)) {
-            note_erase(state, e.tuple);
-            tuple_event("expire", e.node, e.tuple, e.time);
-            if (pool_ != nullptr && agg_body_preds_.count(e.tuple.predicate()) != 0) {
-              state.agg_stale = true;
-            }
-          }
-          state.by_key.erase(key_of(e.tuple));
+      case Event::Kind::Expire:
+        if (node.expire(e.tuple, e.time)) {
           ++stats_.expirations;
           stats_.last_change_time = e.time;
           if (options_.record_trace) {
@@ -660,20 +223,9 @@ SimStats Simulator::run() {
           }
         }
         break;
-      }
-      case Event::Kind::Retract: {
-        if (state.db.erase(e.tuple)) {
-          note_erase(state, e.tuple);
-          state.by_key.erase(key_of(e.tuple));
-          state.expires_at.erase(e.tuple);
-          stats_.last_change_time = e.time;
-          tuple_event("retract", e.node, e.tuple, e.time);
-          if (pool_ != nullptr && agg_body_preds_.count(e.tuple.predicate()) != 0) {
-            state.agg_stale = true;
-          }
-        }
+      case Event::Kind::Retract:
+        node.retract(e.tuple, e.time);
         break;
-      }
     }
   }
   stats_.quiesced = true;
@@ -682,15 +234,16 @@ SimStats Simulator::run() {
 
 const Database& Simulator::database(const std::string& node) const {
   static const Database empty;
-  auto it = node_states_.find(node);
-  return it == node_states_.end() ? empty : it->second.db;
+  auto it = nodes_.find(node);
+  return it == nodes_.end() ? empty : it->second.database();
 }
 
 Database Simulator::merged_database() const {
   Database out;
-  for (const auto& [name, state] : node_states_) {
-    for (const auto& pred : state.db.predicates()) {
-      for (const auto& t : state.db.relation(pred)) out.insert(t);
+  for (const auto& [name, node] : nodes_) {
+    const Database& db = node.database();
+    for (const auto& pred : db.predicates()) {
+      for (const auto& t : db.relation(pred)) out.insert(t);
     }
   }
   return out;
@@ -698,7 +251,7 @@ Database Simulator::merged_database() const {
 
 std::vector<std::string> Simulator::nodes() const {
   std::vector<std::string> out;
-  for (const auto& [name, state] : node_states_) out.push_back(name);
+  for (const auto& [name, node] : nodes_) out.push_back(name);
   return out;
 }
 

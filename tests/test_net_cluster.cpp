@@ -11,12 +11,17 @@
 // semantic analyzer's ND0017 territory, pinned elsewhere.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/protocols.hpp"
@@ -222,6 +227,78 @@ TEST(ClusterDifferential, RawModeMatchesOnFaultFreeTransport) {
   EXPECT_TRUE(run.stats.quiesced);
   EXPECT_EQ(run.fixpoint, expected);
   EXPECT_EQ(run.stats.acked, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Termination detection: no early quiescence
+// ---------------------------------------------------------------------------
+
+/// Bidirectional ring with seeded symmetric costs in [1,10] and an odd total,
+/// so the two ways round never tie: the path-vector fixpoint is unique.
+std::vector<Tuple> seeded_cost_ring(std::size_t nodes, std::uint64_t seed) {
+  auto links = core::ring_topology(nodes);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::int64_t> cost(1, 10);
+  for (std::size_t i = 0; i + 1 < links.size(); i += 2) {
+    links[i].cost = links[i + 1].cost = cost(rng);
+  }
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < links.size(); i += 2) total += links[i].cost;
+  if (total % 2 == 0) links[0].cost = links[1].cost = links[0].cost + 1;
+  return link_facts(links);
+}
+
+/// Busy threads, one per hardware thread, for the lifetime of the object.
+class CpuContention {
+ public:
+  CpuContention() {
+    const unsigned n = std::max(2u, std::thread::hardware_concurrency());
+    for (unsigned i = 0; i < n; ++i) {
+      threads_.emplace_back([this] {
+        std::uint64_t x = 0;
+        while (!stop_.load(std::memory_order_relaxed)) x = x * 6364136223846793005ULL + 1;
+        sink_.fetch_add(x, std::memory_order_relaxed);
+      });
+    }
+  }
+  CpuContention(const CpuContention&) = delete;
+  CpuContention& operator=(const CpuContention&) = delete;
+  ~CpuContention() {
+    stop_.store(true, std::memory_order_relaxed);
+    for (auto& t : threads_) t.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::atomic<std::uint64_t> sink_{0};
+  std::vector<std::thread> threads_;
+};
+
+/// The coordinator may only declare quiescence once every derivation has
+/// left its node. A node that drains a frame after an empty sweep must stop
+/// reading as idle before it handles the frame; otherwise, while it is
+/// descheduled between handling and flushing, the coordinator sees every node
+/// idle, the transport quiet and activity stable, and stops the run with the
+/// frame's derivations still in the node's channel buffers. The pv-cluster
+/// shape (path-vector, dataflow, in-process transport, seeded ring) runs in a
+/// loop against the Simulator's fixpoint while busy threads force node
+/// threads off their cores. Raw mode keeps the whole frame handling inside
+/// the window (with acks on, the sender's unacked batch covers it until the
+/// ack leaves), so the loop exposes the defect within its time budget.
+TEST(ClusterQuiescence, PathVectorRingUnderContentionNeverStopsEarly) {
+  const auto program = ndlog::parse_program(core::path_vector_source(), "path_vector");
+  const auto facts = seeded_cost_ring(16, 7);
+  const auto expected = sim_fixpoint(program, facts, EngineKind::Dataflow);
+  net::ClusterOptions options;
+  options.engine = EngineKind::Dataflow;
+  options.reliability.enabled = false;
+  CpuContention contention;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(6);
+  for (int run = 0; run < 120 && std::chrono::steady_clock::now() < deadline; ++run) {
+    const auto got = cluster_fixpoint(program, facts, options);
+    ASSERT_TRUE(got.stats.quiesced) << "run " << run;
+    ASSERT_EQ(got.fixpoint, expected) << "run " << run << " stopped early";
+  }
 }
 
 // ---------------------------------------------------------------------------

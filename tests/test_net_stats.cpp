@@ -206,8 +206,7 @@ std::vector<Tuple> ship_seeds() {
 
 /// Run a single sender node over a fault-free transport and return every
 /// frame that lands in n1's mailbox, in order.
-std::vector<std::string> raw_ship_frames(const ndlog::Program& program,
-                                         const ndlog::Catalog& catalog,
+std::vector<std::string> raw_ship_frames(const runtime::PreparedProgram& program,
                                          bool batch, net::NodeStats* out_stats) {
   net::InProcTransport transport;
   transport.add_node("n0");
@@ -215,8 +214,7 @@ std::vector<std::string> raw_ship_frames(const ndlog::Program& program,
   net::ReliabilityOptions reliability;
   reliability.enabled = false;
   reliability.batch = batch;
-  net::Node node("n0", program, catalog, ndlog::BuiltinRegistry::standard(),
-                 nullptr, transport, reliability, {});
+  net::Node node("n0", program, transport, reliability, {});
   for (const auto& fact : ship_seeds()) node.seed(fact);
   // Seeds are processed (and channels flushed) before the event loop starts,
   // so a pre-set stop flag gives a deterministic single-pass run.
@@ -231,13 +229,14 @@ std::vector<std::string> raw_ship_frames(const ndlog::Program& program,
 }
 
 TEST(NetStats, RawModeFramesCarrySeqZeroAndAreByteIdenticalAcrossRuns) {
-  const auto program = ndlog::parse_program(kShipProgram, "ship");
-  const auto catalog = ndlog::Catalog::from_program(program);
+  const runtime::PreparedProgram program(ndlog::parse_program(kShipProgram, "ship"),
+                                         ndlog::BuiltinRegistry::standard(),
+                                         /*require_stratified=*/true);
   for (const bool batch : {true, false}) {
     SCOPED_TRACE(batch ? "batched" : "unbatched");
     net::NodeStats stats;
-    const auto first = raw_ship_frames(program, catalog, batch, &stats);
-    const auto second = raw_ship_frames(program, catalog, batch, nullptr);
+    const auto first = raw_ship_frames(program, batch, &stats);
+    const auto second = raw_ship_frames(program, batch, nullptr);
     EXPECT_EQ(first, second) << "raw-mode wire bytes must be reproducible";
     ASSERT_EQ(first.size(), batch ? 1u : 2u);
     std::size_t tuples_seen = 0;
@@ -309,13 +308,13 @@ class FlakyTransport final : public net::Transport {
 };
 
 TEST(NetStats, RefusedRetransmitCommitsNoBackoffOrCounters) {
-  const auto program = ndlog::parse_program(kShipProgram, "ship");
-  const auto catalog = ndlog::Catalog::from_program(program);
+  const runtime::PreparedProgram program(ndlog::parse_program(kShipProgram, "ship"),
+                                         ndlog::BuiltinRegistry::standard(),
+                                         /*require_stratified=*/true);
   FlakyTransport transport;
   transport.add_node("n0");
   transport.add_node("n1");
-  net::Node node("n0", program, catalog, ndlog::BuiltinRegistry::standard(),
-                 nullptr, transport, {}, {});
+  net::Node node("n0", program, transport, {}, {});
   for (const auto& fact : ship_seeds()) node.seed(fact);
 
   const auto spin = [&node](std::chrono::milliseconds for_ms) {

@@ -189,10 +189,19 @@ CliResult run_cli(const std::string& args) {
   return result;
 }
 
-std::string write_temp_program(const std::string& name, const std::string& source) {
-  const auto dir = std::filesystem::temp_directory_path() / "fvn_cli_lint";
+/// A scratch directory private to the running test (named after it), so
+/// tests that reuse file names stay independent under `ctest -j`, where
+/// every test runs as its own process.
+std::filesystem::path test_temp_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const auto dir = std::filesystem::temp_directory_path() / "fvn_cli_lint" /
+                   (std::string(info->test_suite_name()) + "." + info->name());
   std::filesystem::create_directories(dir);
-  const auto path = dir / name;
+  return dir;
+}
+
+std::string write_temp_program(const std::string& name, const std::string& source) {
+  const auto path = test_temp_dir() / name;
   std::ofstream(path) << source;
   return path.string();
 }
@@ -284,9 +293,7 @@ TEST(CliObs, EvalTraceFlagWritesParsableChromeTrace) {
                                        "t2 reach(@S,D) :- link(@S,Z,_C), reach(@Z,D).\n");
   const auto facts = write_temp_program("obs_facts.txt",
                                         "link(@n0,n1,1)\nlink(@n1,n2,1)\n");
-  const auto trace_path =
-      (std::filesystem::temp_directory_path() / "fvn_cli_lint" / "eval_trace.json")
-          .string();
+  const auto trace_path = (test_temp_dir() / "eval_trace.json").string();
   const auto result =
       run_cli("eval " + prog + " " + facts + " --metrics --trace " + trace_path);
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -324,9 +331,7 @@ TEST(CliObs, SimAliasWritesVirtualTimeTrace) {
                                        "t2 reach(@S,D) :- link(@S,Z,_C), reach(@Z,D).\n");
   const auto facts = write_temp_program("obs_facts.txt",
                                         "link(@n0,n1,1)\nlink(@n1,n2,1)\n");
-  const auto trace_path =
-      (std::filesystem::temp_directory_path() / "fvn_cli_lint" / "sim_trace.json")
-          .string();
+  const auto trace_path = (test_temp_dir() / "sim_trace.json").string();
   const auto result =
       run_cli("sim " + prog + " " + facts + " --metrics --trace=" + trace_path);
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -683,6 +688,25 @@ TEST(CliExitCodes, MissingFactsFileIsUsageErrorExitsTwo) {
   }
 }
 
+TEST(CliExitCodes, WorkersFlagIsAnUnknownFlagExitsTwo) {
+  // No runtime command takes --workers; like any unknown flag it is a usage
+  // error, never silently ignored.
+  const auto prog = write_temp_program(
+      "ec_ok.ndlog",
+      "materialize(link, infinity, infinity, keys(1,2)).\n"
+      "materialize(reach, infinity, infinity, keys(1,2)).\n"
+      "t1 reach(@S,D) :- link(@S,D,_C).\n");
+  const auto facts = write_temp_program("ec_facts.txt", "link(@n0,n1,1)\n");
+  for (const std::string cmd : {"sim", "simulate", "dist", "serve"}) {
+    for (const std::string flag : {" --workers=2", " --workers 2"}) {
+      const auto result = run_cli(cmd + " " + prog + " " + facts + flag);
+      EXPECT_EQ(result.exit_code, 2) << cmd << flag << ": " << result.output;
+      EXPECT_NE(result.output.find("unknown flag --workers"), std::string::npos)
+          << cmd << flag << ": " << result.output;
+    }
+  }
+}
+
 TEST(CliExitCodes, SimulateRuntimeFailureExitsOne) {
   // Unstratifiable negation cycle: rejected by the simulator's static checks
   // at construction — a runtime failure (1), not a parse error (2).
@@ -810,9 +834,7 @@ TEST(CliVerify, ViolationExitsOneWithLassoCounterexample) {
 
 TEST(CliVerify, TraceFlagWritesParsableCounterexampleTrace) {
   const auto [prog, facts, good, bad] = ltl_inputs();
-  const auto trace_path =
-      (std::filesystem::temp_directory_path() / "fvn_cli_lint" / "ltl_cex.json")
-          .string();
+  const auto trace_path = (test_temp_dir() / "ltl_cex.json").string();
   const auto result = run_cli("verify " + prog + " " + facts + " --ltl " + bad +
                               " --trace " + trace_path);
   EXPECT_EQ(result.exit_code, 1) << result.output;
