@@ -1,11 +1,11 @@
 // LTL runtime-monitor overhead benchmark: the 40-node path-vector line run
-// bare vs with SimOptions::tuple_events feeding an ltl::MonitorSet (the same
-// lowering `fvn_cli sim --monitor` uses). The monitor steps once per tuple
-// install/retract/expire, so this measures the full subset-construction cost
-// on the hot path. Acceptance: overhead <= 10% on this workload, recorded as
-// ltl/bench/overhead_pct_x100 in BENCH_ltl.json — the median over interleaved
-// bare/monitored pairs, each bare run taking well over 100 ms, so timer and
-// scheduler noise cannot decide the gate.
+// bare vs with an ltl::MonitorSet attached as a SimOptions::tuple_sinks
+// entry (the same lowering `fvn_cli sim --monitor` uses). The monitor steps
+// once per tuple install/retract/expire, so this measures the full
+// subset-construction cost on the hot path. Acceptance: overhead <= 10% on
+// this workload, recorded as ltl/bench/overhead_pct_x100 in BENCH_ltl.json —
+// the median over interleaved bare/monitored pairs, each bare run taking
+// well over 100 ms, so timer and scheduler noise cannot decide the gate.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -52,17 +52,8 @@ MonitoredRun run_path_vector(std::size_t nodes, bool monitored) {
     spec = monitor_spec(nodes);
     monitors = std::make_unique<ltl::MonitorSet>(spec);
     live = monitors.get();
-    options.tuple_events = [live](std::string_view kind, const std::string& node,
-                                  const ndlog::Tuple& tuple, double now) {
-      ltl::TupleEvent e;
-      e.kind = kind == "install" ? ltl::TupleEvent::Kind::Install
-               : kind == "retract" ? ltl::TupleEvent::Kind::Retract
-                                   : ltl::TupleEvent::Kind::Expire;
-      e.node = node;
-      e.tuple = tuple;
-      e.ts_us = static_cast<std::uint64_t>(now * 1e6);
-      live->on_event(e);
-    };
+    options.tuple_sinks.push_back(
+        [live](const runtime::TupleEvent& e) { live->on_event(e); });
   }
   const auto t0 = std::chrono::steady_clock::now();
   runtime::Simulator sim(core::path_vector_program(), options);
@@ -77,12 +68,6 @@ MonitoredRun run_path_vector(std::size_t nodes, bool monitored) {
   }
   out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return out;
-}
-
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t mid = xs.size() / 2;
-  return xs.size() % 2 != 0 ? xs[mid] : (xs[mid - 1] + xs[mid]) / 2;
 }
 
 struct Overhead {
@@ -118,9 +103,9 @@ Overhead measure_overhead(std::size_t nodes, int pairs) {
     out.events = m.events;
     out.satisfied = out.satisfied && m.satisfied;
   }
-  out.baseline_s = median(bare);
-  out.monitored_s = median(monitored);
-  out.pct = median(pct);
+  out.baseline_s = bench::median(bare);
+  out.monitored_s = bench::median(monitored);
+  out.pct = bench::median(pct);
   return out;
 }
 

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/protocols.hpp"
@@ -62,6 +63,27 @@ double run_simulator_reference(EngineKind engine, std::size_t nodes) {
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return seconds > 0 ? static_cast<double>(stats.tuples_derived) / seconds : 0;
+}
+
+/// Cluster:simulator throughput ratio on the dataflow engine, x100 (100 =
+/// parity): the median of `pairs` interleaved cluster/simulator pairs whose
+/// order alternates, so host drift hits both sides alike and one descheduled
+/// ~1 ms run cannot decide the figure.
+double vs_simulator_x100(std::size_t nodes, int pairs) {
+  std::vector<double> ratios;
+  for (int i = 0; i < pairs; ++i) {
+    double cluster = 0;
+    double sim = 0;
+    if (i % 2 == 0) {
+      cluster = run_cluster(EngineKind::Dataflow, nodes).tuples_per_sec;
+      sim = run_simulator_reference(EngineKind::Dataflow, nodes);
+    } else {
+      sim = run_simulator_reference(EngineKind::Dataflow, nodes);
+      cluster = run_cluster(EngineKind::Dataflow, nodes).tuples_per_sec;
+    }
+    ratios.push_back(sim > 0 ? cluster / sim * 100 : 0);
+  }
+  return bench::median(ratios);
 }
 
 void ClusterPathVector(benchmark::State& state) {
@@ -138,11 +160,10 @@ int main(int argc, char** argv) {
       .add(flow.stats.messages_sent > ordered.stats.messages_sent
                ? flow.stats.messages_sent - ordered.stats.messages_sent
                : ordered.stats.messages_sent - flow.stats.messages_sent);
-  // Fixed-point ratio vs the virtual-clock executor: 100 = parity. The
-  // cluster pays for real synchronization, so expect well below 100.
+  // Ratio vs the virtual-clock executor: 100 = parity. The cluster pays for
+  // real synchronization, so expect well below 100.
   m.counter("net/bench/vs_simulator_x100")
-      .add(static_cast<std::uint64_t>(
-          sim_reference > 0 ? flow.tuples_per_sec / sim_reference * 100 : 0));
+      .add(static_cast<std::uint64_t>(vs_simulator_x100(nodes, 9)));
 
   if (!harness.smoke()) {
     std::cout << "\n=== net cluster vs simulator (" << nodes

@@ -57,18 +57,16 @@ Fixture build_fixture() {
 
   std::map<std::string, std::pair<std::string, ndlog::Tuple>> live;
   runtime::SimOptions options;
-  options.tuple_events = [&feed, &live](std::string_view kind,
-                                        const std::string& node,
-                                        const ndlog::Tuple& tuple, double now) {
-    feed.on_event(kind, node, tuple, now);
-    if (tuple.predicate() != "bestPath") return;
-    const std::string id = node + "\x1f" + tuple.to_string();
-    if (kind == "install") {
-      live.emplace(id, std::make_pair(node, tuple));
+  options.tuple_sinks.push_back([&feed, &live](const runtime::TupleEvent& e) {
+    feed.on_event(e);
+    if (e.tuple.predicate() != "bestPath") return;
+    const std::string id = e.node + "\x1f" + e.tuple.to_string();
+    if (e.kind == runtime::TupleEvent::Kind::Install) {
+      live.emplace(id, std::make_pair(e.node, e.tuple));
     } else {
       live.erase(id);
     }
-  };
+  });
   runtime::Simulator sim(core::path_vector_program(), options);
   sim.inject_all(core::link_facts(core::line_topology(kNodes)));
   sim.run();

@@ -11,16 +11,26 @@
 //                               (default: BENCH_<name>.json in the CWD)
 #pragma once
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace fvn::bench {
+
+/// Median of repeated measurements (the gates compare medians, never one
+/// shot). `xs` must not be empty.
+inline double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t mid = xs.size() / 2;
+  return xs.size() % 2 != 0 ? xs[mid] : (xs[mid - 1] + xs[mid]) / 2;
+}
 
 class Harness {
  public:

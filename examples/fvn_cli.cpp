@@ -706,19 +706,20 @@ int cmd_serve(const std::vector<std::string>& args) {
   // Track the live set of served-predicate installs so churn mode can
   // retract/reinstall exactly the fixpoint's routes.
   std::map<std::string, std::pair<std::string, fvn::ndlog::Tuple>> live;
-  auto hook = feed.hook();
   fvn::runtime::SimOptions sim_options;
-  sim_options.tuple_events = [&](std::string_view kind, const std::string& node,
-                                 const fvn::ndlog::Tuple& tuple, double now) {
-    hook(kind, node, tuple, now);
-    if (!churn || tuple.predicate() != plane.spec().predicate) return;
-    const std::string key = node + "\x1f" + tuple.to_string();
-    if (kind == "install") {
-      live.emplace(key, std::make_pair(node, tuple));
-    } else {
-      live.erase(key);
-    }
-  };
+  sim_options.tuple_sinks.push_back(
+      [&feed](const fvn::runtime::TupleEvent& e) { feed.on_event(e); });
+  if (churn) {
+    sim_options.tuple_sinks.push_back([&](const fvn::runtime::TupleEvent& e) {
+      if (e.tuple.predicate() != plane.spec().predicate) return;
+      const std::string key = e.node + "\x1f" + e.tuple.to_string();
+      if (e.kind == fvn::runtime::TupleEvent::Kind::Install) {
+        live.emplace(key, std::make_pair(e.node, e.tuple));
+      } else {
+        live.erase(key);
+      }
+    });
+  }
   if (collect_metrics) sim_options.metrics = &registry;
   if (!trace_path.empty()) sim_options.obs_trace = &obs_trace;
   if (engine_name == "dataflow") {
@@ -849,15 +850,15 @@ int cmd_dist(const std::vector<std::string>& args) {
 
   auto program = fvn::ndlog::parse_program(slurp(positional[0]), positional[0]);
   auto facts = load_facts(positional[1]);
-  std::optional<fvn::ltl::Spec> monitor_spec;
-  if (!monitor_path.empty()) monitor_spec = load_ltl_spec(monitor_path, program);
+  std::optional<fvn::ltl::MonitorSet> monitors;
+  if (!monitor_path.empty()) monitors.emplace(load_ltl_spec(monitor_path, program));
 
   fvn::obs::Registry registry;
   fvn::obs::Trace obs_trace;
   const bool collect_metrics = want_metrics || !metrics_out.empty();
-  // --serve: the plane consumes the live tuple-event stream concurrently
-  // from every node thread, so the feed serializes with its mutex and
-  // publishes on an apply-count cadence (node clocks are not comparable).
+  // --serve: the cluster serializes its node threads' events into the feed,
+  // which publishes on an apply-count cadence (node clocks are not
+  // comparable).
   std::optional<fvn::serve::ServePlane> serve_plane;
   std::optional<fvn::serve::Feed> serve_feed;
   if (!serve_spec_text.empty()) {
@@ -867,7 +868,6 @@ int cmd_dist(const std::vector<std::string>& args) {
     fvn::serve::Feed::Options feed_options;
     feed_options.publish_on_time_advance = false;
     feed_options.publish_every = 64;
-    feed_options.thread_safe = true;
     serve_feed.emplace(*serve_plane, feed_options);
   }
   fvn::net::ClusterOptions options;
@@ -883,8 +883,15 @@ int cmd_dist(const std::vector<std::string>& args) {
   if (poll_ms > 0.0) options.poll_interval_ms = poll_ms;
   if (collect_metrics) options.metrics = &registry;
   if (!trace_path.empty()) options.trace = &obs_trace;
-  if (monitor_spec.has_value()) options.capture_tuple_events = true;
-  if (serve_feed.has_value()) options.tuple_events = serve_feed->hook();
+  // --monitor watches the live stream, serialized across the node threads.
+  if (monitors.has_value()) {
+    options.tuple_sinks.push_back(
+        [&monitors](const fvn::runtime::TupleEvent& e) { monitors->on_event(e); });
+  }
+  if (serve_feed.has_value()) {
+    options.tuple_sinks.push_back(
+        [&serve_feed](const fvn::runtime::TupleEvent& e) { serve_feed->on_event(e); });
+  }
 
   fvn::net::Cluster cluster(program, options);
   cluster.inject_all(facts);
@@ -917,16 +924,9 @@ int cmd_dist(const std::vector<std::string>& args) {
   }
   if (want_metrics) std::cerr << registry.render_summary();
   bool monitors_ok = true;
-  if (monitor_spec.has_value()) {
-    // Replay the cluster's merged tuple-event stream through the compiled
-    // monitors (the same stream `sim --monitor` consumes live).
-    fvn::ltl::MonitorSet monitors(*monitor_spec);
-    for (const auto& e : fvn::ltl::events_from_trace(cluster.tuple_events())) {
-      monitors.on_event(e);
-    }
-    const auto verdicts = monitors.finish();
-    std::cout << fvn::ltl::render_verdicts(verdicts);
-    monitors_ok = monitors.all_satisfied();
+  if (monitors.has_value()) {
+    std::cout << fvn::ltl::render_verdicts(monitors->finish());
+    monitors_ok = monitors->all_satisfied();
   }
   return stats.quiesced && monitors_ok ? 0 : 1;
 }
@@ -1089,27 +1089,13 @@ int main(int argc, char** argv) {
       sim_options.cost_order = cost_order;
       std::optional<ltl::MonitorSet> ltl_monitors;
       if (!monitor_path.empty()) {
-        const auto spec = load_ltl_spec(monitor_path, program);
-        ltl_monitors.emplace(spec);
-        // Live monitoring: the simulator calls this hook on every database
-        // mutation, in virtual-time order.
-        sim_options.tuple_events = [&ltl_monitors](std::string_view kind,
-                                                   const std::string& node,
-                                                   const ndlog::Tuple& tuple,
-                                                   double now) {
-          ltl::TupleEvent e;
-          e.kind = kind == "install"   ? ltl::TupleEvent::Kind::Install
-                   : kind == "retract" ? ltl::TupleEvent::Kind::Retract
-                                       : ltl::TupleEvent::Kind::Expire;
-          e.node = node;
-          e.tuple = tuple;
-          e.ts_us = static_cast<std::uint64_t>(now * 1e6);
-          ltl_monitors->on_event(e);
-        };
+        ltl_monitors.emplace(load_ltl_spec(monitor_path, program));
+        // Live monitoring, in virtual-time order.
+        sim_options.tuple_sinks.push_back(
+            [&ltl_monitors](const runtime::TupleEvent& e) { ltl_monitors->on_event(e); });
       }
-      // --serve: attach the serving plane to the same stream (the simulator
-      // is single-threaded, so the feed publishes at delta-round boundaries
-      // with no locking). Composes with --monitor by chaining the hooks.
+      // --serve: the serving plane on the same stream (the simulator is
+      // single-threaded, so the feed publishes at delta-round boundaries).
       std::optional<serve::ServePlane> serve_plane;
       std::optional<serve::Feed> serve_feed;
       if (!serve_spec_text.empty()) {
@@ -1117,19 +1103,8 @@ int main(int argc, char** argv) {
             parse_serve_spec(serve_spec_text, program),
             serve::ServePlane::Options{collect_metrics ? &registry : nullptr});
         serve_feed.emplace(*serve_plane);
-        auto serve_hook = serve_feed->hook();
-        if (sim_options.tuple_events) {
-          auto monitor_hook = sim_options.tuple_events;
-          sim_options.tuple_events =
-              [monitor_hook, serve_hook](std::string_view kind,
-                                         const std::string& node,
-                                         const ndlog::Tuple& tuple, double now) {
-                monitor_hook(kind, node, tuple, now);
-                serve_hook(kind, node, tuple, now);
-              };
-        } else {
-          sim_options.tuple_events = serve_hook;
-        }
+        sim_options.tuple_sinks.push_back(
+            [&serve_feed](const runtime::TupleEvent& e) { serve_feed->on_event(e); });
       }
       runtime::Simulator sim(program, sim_options);
       sim.inject_all(facts);

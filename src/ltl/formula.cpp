@@ -197,7 +197,7 @@ class Lexer {
         continue;
       }
       if (std::isdigit(static_cast<unsigned char>(c)) ||
-          (c == '-' && std::isdigit(next_char()))) {
+          (c == '-' && std::isdigit(static_cast<unsigned char>(next_char())))) {
         lex_number(t);
         out.push_back(std::move(t));
         continue;
@@ -293,9 +293,13 @@ class Lexer {
       text += get();
     }
     t.kind = TokKind::Number;
-    t.number = std::stod(text);
     t.number_is_int = is_int;
-    if (is_int) t.int_value = std::stoll(text);
+    try {
+      t.number = std::stod(text);
+      if (is_int) t.int_value = std::stoll(text);
+    } catch (const std::out_of_range&) {
+      throw ParseError("ltl: bad number literal '" + text + "'", t.line, t.column);
+    }
   }
 
   void lex_string(Tok& t) {

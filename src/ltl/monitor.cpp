@@ -4,18 +4,7 @@
 #include <deque>
 #include <sstream>
 
-#include "obs/json.hpp"
-
 namespace fvn::ltl {
-
-std::string_view to_string(TupleEvent::Kind kind) noexcept {
-  switch (kind) {
-    case TupleEvent::Kind::Install: return "install";
-    case TupleEvent::Kind::Retract: return "retract";
-    case TupleEvent::Kind::Expire: return "expire";
-  }
-  return "?";
-}
 
 // ---------------------------------------------------------------------------
 // Monitor
@@ -176,41 +165,6 @@ bool MonitorSet::all_satisfied() const {
     if (!m.finish()) return false;
   }
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Event-stream decoding
-// ---------------------------------------------------------------------------
-
-std::vector<TupleEvent> events_from_trace(const std::vector<obs::TraceEvent>& events) {
-  std::vector<TupleEvent> out;
-  for (const auto& e : events) {
-    if (e.phase != 'i' || e.cat != "tuple") continue;
-    TupleEvent te;
-    if (e.name.rfind("install ", 0) == 0) {
-      te.kind = TupleEvent::Kind::Install;
-    } else if (e.name.rfind("retract ", 0) == 0) {
-      te.kind = TupleEvent::Kind::Retract;
-    } else if (e.name.rfind("expire ", 0) == 0) {
-      te.kind = TupleEvent::Kind::Expire;
-    } else {
-      continue;
-    }
-    auto doc = obs::json_parse(e.args_json);
-    if (!doc || !doc->is_object()) continue;
-    const obs::JsonValue* node = doc->find("node");
-    const obs::JsonValue* tuple = doc->find("tuple");
-    if (node == nullptr || tuple == nullptr) continue;
-    te.node = node->string;
-    try {
-      te.tuple = ndlog::parse_fact(tuple->string);
-    } catch (const ndlog::ParseError&) {
-      continue;
-    }
-    te.ts_us = e.ts_us;
-    out.push_back(std::move(te));
-  }
-  return out;
 }
 
 std::string render_verdicts(const std::vector<MonitorVerdict>& verdicts) {

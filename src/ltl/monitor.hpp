@@ -22,21 +22,13 @@
 
 #include "ltl/buchi.hpp"
 #include "ltl/formula.hpp"
-#include "obs/trace.hpp"
+#include "runtime/node_exec.hpp"
 
 namespace fvn::ltl {
 
-/// One engine-agnostic tuple lifecycle event (the shape both the simulator
-/// and fvn::net nodes emit as cat "tuple" obs instants).
-struct TupleEvent {
-  enum class Kind : std::uint8_t { Install, Retract, Expire };
-  Kind kind = Kind::Install;
-  std::string node;
-  ndlog::Tuple tuple;
-  std::uint64_t ts_us = 0;
-};
-
-std::string_view to_string(TupleEvent::Kind kind) noexcept;
+/// The runtimes' typed tuple-event stream is the monitors' input: a
+/// MonitorSet attaches as a tuple sink of either runtime.
+using runtime::TupleEvent;
 
 /// Online monitor for one property. Feed events in trace order; `violated()`
 /// flips to true at the first event after which no extension can satisfy the
@@ -100,12 +92,6 @@ class MonitorSet {
   std::vector<Monitor> monitors_;
   std::size_t events_ = 0;
 };
-
-/// Decode the engine-agnostic tuple-event stream out of recorded obs events:
-/// instants with cat "tuple", name "<kind> <predicate>" and args
-/// {"node":"...","tuple":"<ground fact>"}. Events that do not match the
-/// shape are skipped.
-std::vector<TupleEvent> events_from_trace(const std::vector<obs::TraceEvent>& events);
 
 /// Render verdicts for the CLI (one line per property).
 std::string render_verdicts(const std::vector<MonitorVerdict>& verdicts);

@@ -1,6 +1,5 @@
 #include "net/cluster.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -15,7 +14,7 @@ Cluster::Cluster(ndlog::Program program, ClusterOptions options,
                  const ndlog::BuiltinRegistry& builtins)
     : prepared_(program, builtins, options.require_stratified,
                 runtime::plan_options_of(options)),
-      options_(options) {
+      options_(std::move(options)) {
   // Hard-state programs only: soft-state expiry and periodic refresh need
   // per-node clocks and by design never quiesce (they keep re-firing), so
   // termination detection would be meaningless. The discrete-event Simulator
@@ -63,12 +62,6 @@ void Cluster::inject_all(const std::vector<Tuple>& facts) {
 
 NodeObs Cluster::make_obs(const std::string& name) {
   NodeObs obs;
-  if (options_.tuple_events) obs.tuple_events = &options_.tuple_events;
-  if (options_.capture_tuple_events) {
-    auto& slot = tuple_traces_[name];
-    if (!slot) slot = std::make_unique<obs::Trace>();
-    obs.tuple_trace = slot.get();
-  }
   if (options_.metrics == nullptr) return obs;
   obs::Registry& m = *options_.metrics;
   const std::string base = "net/node/" + name + "/";
@@ -105,9 +98,16 @@ ClusterStats Cluster::run() {
   // series creation, node construction, seeding) happens here, before any
   // thread starts; afterwards node threads only touch their own state.
   for (const auto& [name, facts] : seeds_) transport_->add_node(name);
+  runtime::TupleSink sink;
+  if (!options_.tuple_sinks.empty()) {
+    sink = [this](const runtime::TupleEvent& event) {
+      const std::lock_guard<std::mutex> lock(sink_mu_);
+      runtime::fan_out(options_.tuple_sinks, event);
+    };
+  }
   for (const auto& [name, facts] : seeds_) {
     auto node = std::make_unique<Node>(name, prepared_, *transport_, options_.reliability,
-                                       make_obs(name));
+                                       make_obs(name), sink);
     for (const auto& fact : facts) node->seed(fact);
     nodes_.emplace(name, std::move(node));
   }
@@ -238,22 +238,6 @@ ndlog::Database Cluster::merged_database() const {
       for (const auto& t : db.relation(pred)) out.insert(t);
     }
   }
-  return out;
-}
-
-std::vector<obs::TraceEvent> Cluster::tuple_events() const {
-  std::vector<obs::TraceEvent> out;
-  for (const auto& [name, trace] : tuple_traces_) {
-    for (const auto& e : trace->events()) out.push_back(e);
-  }
-  // Node clocks share an epoch only approximately (each node's steady_clock
-  // epoch is its construction instant, all within the same pre-thread setup),
-  // so a timestamp merge gives the closest single-trace approximation of the
-  // interleaving. stable_sort keeps each node's own stream in order.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                     return a.ts_us < b.ts_us;
-                   });
   return out;
 }
 

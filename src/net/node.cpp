@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <thread>
 
-#include "obs/json.hpp"
-
 namespace fvn::net {
 
 using ndlog::Tuple;
 
 Node::Node(std::string name, const runtime::PreparedProgram& program,
-           Transport& transport, ReliabilityOptions reliability, NodeObs obs)
+           Transport& transport, ReliabilityOptions reliability, NodeObs obs,
+           runtime::TupleSink sink)
     : name_(std::move(name)),
       transport_(&transport),
       reliability_(reliability),
       obs_(obs),
+      sink_(std::move(sink)),
       // Null registry: obs::Registry is not thread-safe and the shared
       // dataflow element counters would race across node threads.
       exec_(program, name_, static_cast<runtime::NodeHost&>(*this), nullptr),
@@ -28,29 +28,15 @@ double Node::now_ms() const {
 
 void Node::seed(Tuple fact) { seeds_.push_back(std::move(fact)); }
 
-void Node::tuple_event(std::string_view kind, const Tuple& tuple) {
-  if (obs_.tuple_events != nullptr && *obs_.tuple_events) {
-    (*obs_.tuple_events)(kind, name_, tuple, now_ms() / 1000.0);
+void Node::changed(const runtime::TupleEvent& event, bool overwrite) {
+  if (event.kind == runtime::TupleEvent::Kind::Install) {
+    ++stats_.installed;
+    if (overwrite) ++stats_.overwrites;
+    if (obs_.installed != nullptr) obs_.installed->add(1);
   }
-  if (obs_.tuple_trace == nullptr) return;
-  obs_.tuple_trace->instant_at(
-      static_cast<std::uint64_t>(now_ms() * 1000.0),
-      std::string(kind) + " " + tuple.predicate(), "tuple",
-      "{\"node\":\"" + obs::json_escape(name_) + "\",\"tuple\":\"" +
-          obs::json_escape(tuple.to_string()) + "\"}");
-}
-
-void Node::installed(const std::string& /*node*/, const Tuple& tuple, bool overwrite,
-                     double /*now*/) {
-  ++stats_.installed;
-  if (overwrite) ++stats_.overwrites;
-  if (obs_.installed != nullptr) obs_.installed->add(1);
-  tuple_event("install", tuple);
-}
-
-void Node::erased(std::string_view kind, const std::string& /*node*/, const Tuple& tuple,
-                  double /*now*/) {
-  tuple_event(kind, tuple);
+  if (sink_) {
+    sink_(runtime::TupleEvent{event.kind, event.node, event.tuple, now_ms() / 1000.0});
+  }
 }
 
 void Node::ship(const std::string& /*node*/, Tuple tuple, const std::string& dest,

@@ -42,17 +42,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <queue>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "runtime/node_exec.hpp"
 
 namespace fvn::net {
@@ -91,19 +88,6 @@ struct NodeObs {
   obs::Histogram* batch_size = nullptr;
   obs::Timer* encode = nullptr;
   obs::Timer* decode = nullptr;
-  /// Engine-agnostic tuple lifecycle stream: when set, the node records every
-  /// database mutation as a cat "tuple" instant named "install <pred>" /
-  /// "retract <pred>" with args {"node":...,"tuple":...} — the same shape
-  /// runtime::Simulator emits, so LTL runtime monitors consume either engine's
-  /// trace unchanged. Must point at a per-node Trace (obs::Trace is not
-  /// thread-safe); the Cluster owns one per node and merges after join.
-  obs::Trace* tuple_trace = nullptr;
-  /// Live engine-agnostic tuple-event hook (ClusterOptions::tuple_events),
-  /// invoked inline on this node's thread for every install/retract with the
-  /// node clock in seconds. Shared across nodes — the callee must be
-  /// internally synchronized.
-  const std::function<void(std::string_view, const std::string&,
-                           const ndlog::Tuple&, double)>* tuple_events = nullptr;
 };
 
 /// Plain counters, safe to read after the node's thread has been joined.
@@ -134,9 +118,11 @@ struct NodeStats {
 /// owns the lifecycle.
 class Node : private runtime::NodeHost {
  public:
-  /// `program` and `transport` must outlive the node.
+  /// `program` and `transport` must outlive the node. `sink` (may be empty)
+  /// receives every database change, stamped with the node clock in seconds,
+  /// on this node's thread; the Cluster passes one that serializes the nodes.
   Node(std::string name, const runtime::PreparedProgram& program, Transport& transport,
-       ReliabilityOptions reliability, NodeObs obs);
+       ReliabilityOptions reliability, NodeObs obs, runtime::TupleSink sink = {});
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -206,18 +192,13 @@ class Node : private runtime::NodeHost {
   // stamped with the node clock when they happen).
   void ship(const std::string& node, ndlog::Tuple tuple, const std::string& dest,
             double now) override;
-  void installed(const std::string& node, const ndlog::Tuple& tuple, bool overwrite,
-                 double now) override;
-  void erased(std::string_view kind, const std::string& node, const ndlog::Tuple& tuple,
-              double now) override;
-  /// Structured tuple-event emission into obs_.tuple_trace/tuple_events
-  /// (no-op when both are null).
-  void tuple_event(std::string_view kind, const ndlog::Tuple& tuple);
+  void changed(const runtime::TupleEvent& event, bool overwrite) override;
 
   std::string name_;
   Transport* transport_;
   ReliabilityOptions reliability_;
   NodeObs obs_;
+  runtime::TupleSink sink_;
   runtime::NodeExec exec_;
   std::vector<ndlog::Tuple> seeds_;
 

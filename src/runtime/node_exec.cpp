@@ -75,6 +75,19 @@ const std::string& PreparedProgram::location_of(const Tuple& tuple) const {
   return tuple.at(idx).as_addr();
 }
 
+std::string_view to_string(TupleEvent::Kind kind) noexcept {
+  switch (kind) {
+    case TupleEvent::Kind::Install: return "install";
+    case TupleEvent::Kind::Retract: return "retract";
+    case TupleEvent::Kind::Expire: return "expire";
+  }
+  return "?";
+}
+
+void fan_out(const std::vector<TupleSink>& sinks, const TupleEvent& event) {
+  for (const auto& sink : sinks) sink(event);
+}
+
 bool NodeExec::KeyLess::operator()(const Tuple& a, const Tuple& b) const {
   for (std::size_t f : *key_fields) {
     if (f < 1 || f > a.arity() || f > b.arity()) continue;
@@ -128,7 +141,7 @@ bool NodeExec::install(const Tuple& tuple, double now) {
     } else if (!fresh) {
       // Keyed overwrite (P2 materialize semantics): the old row leaves first.
       auto slot = slots.extract(it);
-      remove(slot.value(), "retract", now);
+      remove(slot.value(), TupleEvent::Kind::Retract, now);
       slot.value() = tuple;  // same key fields: the set's order is undisturbed
       slots.insert(std::move(slot));
       overwrite = true;
@@ -141,21 +154,23 @@ bool NodeExec::install(const Tuple& tuple, double now) {
     expires_at_[tuple] = at;
     host_->expires(name_, tuple, at);
   }
-  if (changed) host_->installed(name_, tuple, overwrite, now);
+  if (changed) {
+    host_->changed(TupleEvent{TupleEvent::Kind::Install, name_, tuple, now}, overwrite);
+  }
   return changed;
 }
 
-bool NodeExec::remove(const Tuple& tuple, std::string_view kind, double now) {
+bool NodeExec::remove(const Tuple& tuple, TupleEvent::Kind kind, double now) {
   if (!db_.erase(tuple)) return false;
   if (flow() != nullptr) flow_->on_erase(tuple, db_);
   if (auto it = slots_.find(tuple.predicate()); it != slots_.end()) it->second.erase(tuple);
   expires_at_.erase(tuple);
-  host_->erased(kind, name_, tuple, now);
+  host_->changed(TupleEvent{kind, name_, tuple, now}, /*overwrite=*/false);
   return true;
 }
 
 bool NodeExec::retract(const Tuple& tuple, double now) {
-  return remove(tuple, "retract", now);
+  return remove(tuple, TupleEvent::Kind::Retract, now);
 }
 
 bool NodeExec::expire(const Tuple& tuple, double at) {
@@ -163,7 +178,7 @@ bool NodeExec::expire(const Tuple& tuple, double at) {
   // Only expire if this event corresponds to the latest refresh.
   if (it == expires_at_.end() || it->second > at + 1e-12) return false;
   expires_at_.erase(it);
-  remove(tuple, "expire", at);
+  remove(tuple, TupleEvent::Kind::Expire, at);
   return true;
 }
 
@@ -231,7 +246,7 @@ bool NodeExec::apply_view(const Rule* rule, TupleSet outputs, double now, bool a
   for (const auto& old_row : prev) {
     if (outputs.contains(old_row)) continue;
     if (program_->location_of(old_row) != name_) continue;  // remote copies age out
-    remove(old_row, "retract", now);
+    remove(old_row, TupleEvent::Kind::Retract, now);
   }
   std::vector<Tuple> added;
   for (const auto& row : outputs) {

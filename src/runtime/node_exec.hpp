@@ -13,13 +13,15 @@
 //   * the rule executor — ndlog::RuleEngine or a compiled dataflow::Engine
 //     kept in step through its database-mirror hooks,
 //   * aggregate view maintenance (diff against the last emitted view), and
-//   * install/retract/expire event emission.
+//   * the one emission point of the typed install/retract/expire stream
+//     (TupleEvent) that both runtimes fan out to their tuple sinks.
 //
 // PreparedProgram is the per-program half: everything derived once from a
 // program before any node runs. It is immutable afterwards, so the cluster's
 // node threads share one.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -96,6 +98,29 @@ struct PreparedProgram {
   std::unordered_map<std::string, PredInfo> preds_;
 };
 
+/// One change to a node's database: the single typed event both runtimes
+/// hand to their tuple sinks (SimOptions/ClusterOptions::tuple_sinks). A
+/// view: `node` and `tuple` belong to the emitter and are valid only for the
+/// duration of the call, so a sink that keeps them must copy them.
+struct TupleEvent {
+  enum class Kind : std::uint8_t { Install, Retract, Expire };
+  Kind kind;
+  const std::string& node;
+  const ndlog::Tuple& tuple;
+  /// Virtual seconds in the Simulator, the emitting node's clock in seconds
+  /// in the Cluster.
+  double now;
+};
+
+/// "install", "retract" or "expire".
+std::string_view to_string(TupleEvent::Kind kind) noexcept;
+
+/// An observer of the tuple-event stream (LTL monitors, serve feeds, tests).
+using TupleSink = std::function<void(const TupleEvent&)>;
+
+/// Calls every sink with `event`, in order.
+void fan_out(const std::vector<TupleSink>& sinks, const TupleEvent& event);
+
 /// What a NodeExec reports to the runtime driving it. `node` is the
 /// executive's name and `now` the time the runtime passed in.
 class NodeHost {
@@ -104,13 +129,9 @@ class NodeHost {
   /// inside `tuple` (a moved Tuple keeps its value buffer, so it stays valid).
   virtual void ship(const std::string& node, ndlog::Tuple tuple, const std::string& dest,
                     double now) = 0;
-  /// `tuple` entered the database; `overwrite` = it replaced a keyed row
-  /// (reported just before through erased("retract", ...)).
-  virtual void installed(const std::string& node, const ndlog::Tuple& tuple,
-                         bool overwrite, double now) = 0;
-  /// `tuple` left the database; `kind` is "retract" or "expire".
-  virtual void erased(std::string_view kind, const std::string& node,
-                      const ndlog::Tuple& tuple, double now) = 0;
+  /// The database changed. An Install with `overwrite` replaced a keyed row,
+  /// which was reported just before as a Retract.
+  virtual void changed(const TupleEvent& event, bool overwrite) = 0;
   /// A soft-state tuple was (re)installed; it expires at `at` unless
   /// refreshed. Hosts without soft state ignore it.
   virtual void expires(const std::string& /*node*/, const ndlog::Tuple& /*tuple*/,
@@ -164,7 +185,7 @@ class NodeExec {
   /// Install honoring keys/lifetimes; true if the database changed.
   bool install(const ndlog::Tuple& tuple, double now);
   /// Erase from the database and every index of it; true if it was present.
-  bool remove(const ndlog::Tuple& tuple, std::string_view kind, double now);
+  bool remove(const ndlog::Tuple& tuple, TupleEvent::Kind kind, double now);
   void run_rules(const ndlog::Tuple& delta, double now, bool agg_each);
   /// One aggregate maintenance pass; true if any aggregate view changed.
   bool run_agg_rules(double now, bool agg_each);

@@ -32,9 +32,9 @@ std::uint64_t derive_loss_seed(std::uint64_t x) {
 Simulator::Simulator(ndlog::Program program, SimOptions options,
                      const ndlog::BuiltinRegistry& builtins)
     : prepared_(program, builtins, options.require_stratified, plan_options_of(options)),
-      options_(options),
-      rng_(options.seed),
-      loss_rng_(derive_loss_seed(options.seed)) {
+      options_(std::move(options)),
+      rng_(options_.seed),
+      loss_rng_(derive_loss_seed(options_.seed)) {
   // Program-embedded ground facts are injected at t=0.
   for (const auto& fact : prepared_.facts) inject(fact, 0.0);
 }
@@ -71,52 +71,40 @@ void Simulator::retract(const Tuple& fact, double time) {
   schedule(time, Event::Kind::Retract, prepared_.location_of(fact), fact);
 }
 
-void Simulator::add_monitor(Monitor monitor) { monitors_.push_back(std::move(monitor)); }
-
-void Simulator::tuple_event(std::string_view kind, const std::string& node,
-                            const Tuple& tuple, double now) {
-  if (options_.tuple_events) options_.tuple_events(kind, node, tuple, now);
+void Simulator::changed(const TupleEvent& event, bool overwrite) {
+  const std::string& node = event.node;
+  const Tuple& tuple = event.tuple;
+  stats_.last_change_time = event.now;
+  if (event.kind == TupleEvent::Kind::Install) {
+    if (overwrite) {
+      ++stats_.overwrites;
+      if (options_.metrics != nullptr) {
+        options_.metrics->counter("sim/node/" + node + "/overwrites").add(1);
+      }
+    }
+    ++stats_.tuples_derived;
+    stats_.last_change_by_predicate[tuple.predicate()] = event.now;
+    if (options_.metrics != nullptr) {
+      options_.metrics->counter("sim/node/" + node + "/installed").add(1);
+    }
+    if (options_.obs_trace != nullptr) {
+      options_.obs_trace->counter_at(sim_ts(event.now), "sim/installs", "sim",
+                                     static_cast<double>(stats_.tuples_derived));
+    }
+  } else if (event.kind == TupleEvent::Kind::Expire) {
+    ++stats_.expirations;
+    if (options_.metrics != nullptr) {
+      options_.metrics->counter("sim/node/" + node + "/expired").add(1);
+    }
+  }
   if (options_.obs_trace != nullptr) {
     options_.obs_trace->instant_at(
-        sim_ts(now), std::string(kind) + " " + tuple.predicate(), "tuple",
+        sim_ts(event.now), std::string(to_string(event.kind)) + " " + tuple.predicate(),
+        "tuple",
         "{\"node\":\"" + obs::json_escape(node) + "\",\"tuple\":\"" +
             obs::json_escape(tuple.to_string()) + "\"}");
   }
-}
-
-void Simulator::installed(const std::string& node, const Tuple& tuple, bool overwrite,
-                          double now) {
-  if (overwrite) {
-    ++stats_.overwrites;
-    if (options_.metrics != nullptr) {
-      options_.metrics->counter("sim/node/" + node + "/overwrites").add(1);
-    }
-  }
-  ++stats_.tuples_derived;
-  stats_.last_change_time = now;
-  stats_.last_change_by_predicate[tuple.predicate()] = now;
-  if (options_.record_trace) {
-    trace_.push_back(TraceEntry{now, TraceEntry::Kind::Install, node, tuple.to_string()});
-  }
-  if (options_.metrics != nullptr) {
-    options_.metrics->counter("sim/node/" + node + "/installed").add(1);
-  }
-  if (options_.obs_trace != nullptr) {
-    options_.obs_trace->instant_at(sim_ts(now), "install " + tuple.predicate(), "sim",
-                                   "{\"node\":\"" + obs::json_escape(node) + "\"}");
-    options_.obs_trace->counter_at(sim_ts(now), "sim/installs", "sim",
-                                   static_cast<double>(stats_.tuples_derived));
-  }
-  tuple_event("install", node, tuple, now);
-  for (const auto& m : monitors_) {
-    if (!m(node, tuple, now)) ++stats_.monitor_violations;
-  }
-}
-
-void Simulator::erased(std::string_view kind, const std::string& node, const Tuple& tuple,
-                       double now) {
-  stats_.last_change_time = now;
-  tuple_event(kind, node, tuple, now);
+  fan_out(options_.tuple_sinks, event);
 }
 
 void Simulator::expires(const std::string& node, const Tuple& tuple, double at) {
@@ -126,10 +114,6 @@ void Simulator::expires(const std::string& node, const Tuple& tuple, double at) 
 void Simulator::ship(const std::string& from, Tuple tuple, const std::string& to,
                      double now) {
   ++stats_.messages_sent;
-  if (options_.record_trace) {
-    trace_.push_back(
-        TraceEntry{now, TraceEntry::Kind::Send, from, tuple.to_string() + " -> " + to});
-  }
   if (options_.metrics != nullptr) {
     options_.metrics->counter("sim/node/" + from + "/sent").add(1);
   }
@@ -207,21 +191,7 @@ SimStats Simulator::run() {
         node.deliver(e.tuple, e.time);
         break;
       case Event::Kind::Expire:
-        if (node.expire(e.tuple, e.time)) {
-          ++stats_.expirations;
-          stats_.last_change_time = e.time;
-          if (options_.record_trace) {
-            trace_.push_back(TraceEntry{e.time, TraceEntry::Kind::Expire, e.node,
-                                        e.tuple.to_string()});
-          }
-          if (options_.metrics != nullptr) {
-            options_.metrics->counter("sim/node/" + e.node + "/expired").add(1);
-          }
-          if (options_.obs_trace != nullptr) {
-            options_.obs_trace->instant_at(sim_ts(e.time), "expire " + e.tuple.predicate(),
-                                           "sim");
-          }
-        }
+        node.expire(e.tuple, e.time);
         break;
       case Event::Kind::Retract:
         node.retract(e.tuple, e.time);

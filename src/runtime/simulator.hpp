@@ -11,11 +11,11 @@
 //   * soft state: tuples with finite lifetime expire; `periodic(@N,I)`
 //     events re-fire every I seconds (the native alternative to §4.2's
 //     hard-state rewrite, experiment E8),
-//   * runtime invariant monitors (the runtime-verification arc of §1),
+//   * a typed tuple-event stream for runtime monitors (the
+//     runtime-verification arc of §1) and other observers,
 //   * quiescence detection: convergence time and message counts (E5).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <queue>
 #include <random>
@@ -59,9 +59,6 @@ struct SimOptions {
   /// best routes) set this to false; the executor's incremental semantics is
   /// still well-defined operationally, as in P2.
   bool require_stratified = true;
-  /// Record an event trace (see Simulator::trace()); off by default — traces
-  /// grow linearly with event count.
-  bool record_trace = false;
   /// Observability sinks (may be null — the default — for zero overhead).
   /// With `metrics`, the simulator records per-node message counters
   /// (sim/node/<n>/{sent,received,dropped,installed}), overwrite/expiry
@@ -71,18 +68,16 @@ struct SimOptions {
   /// sampled at every event.
   /// With `obs_trace`, it emits instants and counter samples stamped in
   /// *virtual* time (simulated seconds as trace microseconds), so the
-  /// exported Chrome trace shows protocol time, not host time.
+  /// exported Chrome trace shows protocol time, not host time: a cat "sim"
+  /// instant per send and one cat "tuple" instant per tuple event, named
+  /// "<kind> <pred>" with args {"node":...,"tuple":...}.
   obs::Registry* metrics = nullptr;
   obs::Trace* obs_trace = nullptr;
-  /// Live engine-agnostic tuple lifecycle hook: called after every database
-  /// mutation with kind "install" / "retract" / "expire", the owning node,
-  /// the tuple and the virtual time. Null (the default) costs nothing. LTL
-  /// runtime monitors (`sim --monitor`, bench_ltl) attach here; the same
-  /// stream is exported as cat "tuple" obs instants when obs_trace is set,
-  /// with args {"node":...,"tuple":...} — the shape fvn::net emits too.
-  std::function<void(std::string_view kind, const std::string& node,
-                     const ndlog::Tuple& tuple, double now)>
-      tuple_events;
+  /// Observers of every database change, called in order after it with the
+  /// typed event (virtual time). Empty (the default) costs nothing. LTL
+  /// runtime monitors (`sim --monitor`, bench_ltl) and serve feeds attach
+  /// here; net::ClusterOptions has the same field.
+  std::vector<TupleSink> tuple_sinks;
   /// Rule executor. Both engines are operationally equivalent (identical
   /// fixpoints, message streams and convergence times — pinned by the
   /// differential tests); Dataflow compiles each rule once and pushes one
@@ -98,14 +93,6 @@ struct SimOptions {
   bool cost_order = false;
 };
 
-/// One recorded simulation event (Pip-style trace entry for offline checks).
-struct TraceEntry {
-  double time = 0.0;
-  enum class Kind : std::uint8_t { Send, Deliver, Install, Expire, Retract } kind;
-  std::string node;  // acting node (sender for Send, owner otherwise)
-  std::string detail;
-};
-
 struct SimStats {
   std::size_t events_processed = 0;
   std::size_t messages_sent = 0;
@@ -119,14 +106,7 @@ struct SimStats {
   std::map<std::string, double> last_change_by_predicate;
   double end_time = 0.0;
   bool quiesced = false;           // queue drained before budget exhausted
-  std::size_t monitor_violations = 0;
 };
-
-/// A runtime-verification monitor: called for every newly installed tuple.
-/// Return false to flag an invariant violation (recorded in stats; the run
-/// continues, like Pip-style online checkers).
-using Monitor =
-    std::function<bool(const std::string& node, const ndlog::Tuple& tuple, double now)>;
 
 /// Discrete-event distributed executor for one NDlog program. Each node's
 /// local rule semantics run in a NodeExec; the simulator owns the virtual
@@ -155,8 +135,6 @@ class Simulator : private NodeHost {
   /// cascade is performed (P2-style); soft state re-derives around it.
   void retract(const ndlog::Tuple& fact, double time);
 
-  void add_monitor(Monitor monitor);
-
   /// Run to quiescence (or budget exhaustion). May be called once.
   SimStats run();
 
@@ -166,8 +144,6 @@ class Simulator : private NodeHost {
   const dataflow::Plan* plan() const noexcept {
     return prepared_.plan ? &*prepared_.plan : nullptr;
   }
-  /// Recorded events (empty unless options.record_trace).
-  const std::vector<TraceEntry>& trace() const noexcept { return trace_; }
   /// Union of all nodes' relations (for comparing with the centralized
   /// evaluator's result).
   ndlog::Database merged_database() const;
@@ -193,15 +169,8 @@ class Simulator : private NodeHost {
   // NodeHost: what the node executives report.
   void ship(const std::string& from, ndlog::Tuple tuple, const std::string& to,
             double now) override;
-  void installed(const std::string& node, const ndlog::Tuple& tuple, bool overwrite,
-                 double now) override;
-  void erased(std::string_view kind, const std::string& node, const ndlog::Tuple& tuple,
-              double now) override;
+  void changed(const TupleEvent& event, bool overwrite) override;
   void expires(const std::string& node, const ndlog::Tuple& tuple, double at) override;
-  /// Structured tuple-event emission (SimOptions::tuple_events + cat "tuple"
-  /// obs instants); `kind` is "install", "retract" or "expire".
-  void tuple_event(std::string_view kind, const std::string& node,
-                   const ndlog::Tuple& tuple, double now);
 
   PreparedProgram prepared_;
   SimOptions options_;
@@ -215,8 +184,6 @@ class Simulator : private NodeHost {
   std::mt19937_64 rng_;
   /// Loss stream (loss_rate draws), seeded from `seed` via splitmix64.
   std::mt19937_64 loss_rng_;
-  std::vector<Monitor> monitors_;
-  std::vector<TraceEntry> trace_;
   SimStats stats_;
   bool ran_ = false;
 };

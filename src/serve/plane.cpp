@@ -320,38 +320,22 @@ Feed::Feed(ServePlane& plane) : Feed(plane, Options()) {}
 Feed::Feed(ServePlane& plane, Options options)
     : plane_(&plane), options_(options) {}
 
-std::function<void(std::string_view, const std::string&, const ndlog::Tuple&,
-                   double)>
-Feed::hook() {
-  return [this](std::string_view kind, const std::string& node,
-                const ndlog::Tuple& tuple, double now) {
-    on_event(kind, node, tuple, now);
-  };
-}
-
-void Feed::on_event(std::string_view kind, const std::string& node,
-                    const ndlog::Tuple& tuple, double now) {
-  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-  if (options_.thread_safe) lock.lock();
+void Feed::on_event(const runtime::TupleEvent& event) {
   // Publish *before* applying an event from a later virtual time: everything
   // seen so far is a completed delta round, so the snapshot is a consistent
   // cut of the fixpoint computation.
-  if (options_.publish_on_time_advance && seen_any_ && now > last_now_) {
+  if (options_.publish_on_time_advance && seen_any_ && event.now > last_now_) {
     plane_->publish();
   }
   seen_any_ = true;
-  if (now > last_now_) last_now_ = now;
-  if (plane_->apply(kind, node, tuple) && options_.publish_every != 0 &&
-      ++since_publish_ >= options_.publish_every) {
+  if (event.now > last_now_) last_now_ = event.now;
+  if (plane_->apply(to_string(event.kind), event.node, event.tuple) &&
+      options_.publish_every != 0 && ++since_publish_ >= options_.publish_every) {
     plane_->publish();
     since_publish_ = 0;
   }
 }
 
-void Feed::finish() {
-  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-  if (options_.thread_safe) lock.lock();
-  plane_->publish(/*force=*/true);
-}
+void Feed::finish() { plane_->publish(/*force=*/true); }
 
 }  // namespace fvn::serve

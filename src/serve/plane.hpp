@@ -3,9 +3,9 @@
 // into per-node longest-prefix-match tables and serve concurrent lookups
 // from epoch-published snapshots while the engine churns.
 //
-// Wiring (both runtimes, one code path): the engine-agnostic tuple-event
-// stream (SimOptions::tuple_events / ClusterOptions::tuple_events) drives a
-// Feed, which applies install/retract/expire deltas to the plane's shadow
+// Wiring (both runtimes, one code path): the typed tuple-event stream
+// (SimOptions::tuple_sinks / ClusterOptions::tuple_sinks) drives a Feed,
+// which applies install/retract/expire deltas to the plane's shadow
 // tries and publishes snapshots at delta-round boundaries (virtual-time
 // advance in the simulator, apply-count cadence in the threaded cluster,
 // always once more at quiescence). Readers never see a half-applied round
@@ -14,9 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -25,6 +23,7 @@
 #include "ndlog/catalog.hpp"
 #include "ndlog/tuple.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/node_exec.hpp"
 #include "serve/intern.hpp"
 #include "serve/mtrie.hpp"
 #include "serve/snapshot.hpp"
@@ -90,7 +89,7 @@ class ServePlane {
 
   const ServeSpec& spec() const noexcept { return spec_; }
 
-  // --- writer side (serialized by the Feed) --------------------------------
+  // --- writer side (one caller at a time: the Feed) -------------------------
 
   /// Fold one tuple-event into the shadow tables. `kind` is "install",
   /// "retract" or "expire"; tuples of other predicates are ignored (one
@@ -214,22 +213,14 @@ class Feed {
     /// Publish every N applied (changing) events; 0 = off. The cluster's
     /// cadence knob.
     std::size_t publish_every = 0;
-    /// Serialize on_event() with a mutex: required when events arrive from
-    /// concurrent node threads (fvn::net), pointless in the simulator.
-    bool thread_safe = false;
   };
 
   explicit Feed(ServePlane& plane);
   Feed(ServePlane& plane, Options options);
 
-  /// The hook both runtimes accept (SimOptions::tuple_events /
-  /// ClusterOptions::tuple_events signature).
-  std::function<void(std::string_view, const std::string&, const ndlog::Tuple&,
-                     double)>
-  hook();
-
-  void on_event(std::string_view kind, const std::string& node,
-                const ndlog::Tuple& tuple, double now);
+  /// Apply one event. Attach as a tuple sink of either runtime; both call
+  /// their sinks one at a time, so the feed takes no lock.
+  void on_event(const runtime::TupleEvent& event);
 
   /// Final publish at quiescence (forced, so the fixpoint is always served).
   void finish();
@@ -237,7 +228,6 @@ class Feed {
  private:
   ServePlane* plane_;
   Options options_;
-  std::mutex mu_;
   double last_now_ = 0.0;
   bool seen_any_ = false;
   std::size_t since_publish_ = 0;

@@ -1,11 +1,13 @@
 // Tests for the extension features: direct-product algebras (totality
-// failure), simulator event traces, the `case` tactic, and cross-protocol
-// parameterized sweeps (distributed == centralized; parse round-trips).
+// failure), simulator virtual-time traces, the `case` tactic, and
+// cross-protocol parameterized sweeps (distributed == centralized; parse
+// round-trips).
 #include <gtest/gtest.h>
 
 #include "algebra/routing_algebra.hpp"
 #include "core/protocols.hpp"
 #include "ndlog/eval.hpp"
+#include "obs/trace.hpp"
 #include "prover/prover.hpp"
 #include "runtime/simulator.hpp"
 #include "translate/ndlog_to_logic.hpp"
@@ -44,24 +46,22 @@ TEST(SimTrace, RecordsSendsInstallsAndExpiries) {
     materialize(reach, infinity, infinity, keys(1,2)).
     a1 reach(@D,S) :- link(@S,D,C).
   )");
+  obs::Trace trace;
   runtime::SimOptions options;
-  options.record_trace = true;
+  options.obs_trace = &trace;
   runtime::Simulator sim(program, options);
   sim.inject_all(core::link_facts(core::line_topology(2)));
   sim.run();
-  const auto& trace = sim.trace();
-  ASSERT_FALSE(trace.empty());
+  ASSERT_GT(trace.size(), 0u);
   bool saw_send = false, saw_install = false, saw_expire = false;
-  double last_time = 0.0;
-  for (const auto& e : trace) {
-    EXPECT_GE(e.time, last_time);  // chronological
-    last_time = e.time;
-    switch (e.kind) {
-      case runtime::TraceEntry::Kind::Send: saw_send = true; break;
-      case runtime::TraceEntry::Kind::Install: saw_install = true; break;
-      case runtime::TraceEntry::Kind::Expire: saw_expire = true; break;
-      default: break;
-    }
+  std::uint64_t last_ts = 0;
+  for (const auto& e : trace.events()) {
+    EXPECT_GE(e.ts_us, last_ts);  // chronological (virtual time)
+    last_ts = e.ts_us;
+    if (e.phase != 'i') continue;
+    saw_send |= e.cat == "sim" && e.name == "send reach";
+    saw_install |= e.cat == "tuple" && e.name.rfind("install ", 0) == 0;
+    saw_expire |= e.cat == "tuple" && e.name == "expire link";
   }
   EXPECT_TRUE(saw_send);     // reach shipped to the other node
   EXPECT_TRUE(saw_install);
@@ -69,10 +69,23 @@ TEST(SimTrace, RecordsSendsInstallsAndExpiries) {
 }
 
 TEST(SimTrace, OffByDefault) {
-  runtime::Simulator sim(core::reachable_program(), {});
-  sim.inject_all(core::link_facts(core::line_topology(3)));
-  sim.run();
-  EXPECT_TRUE(sim.trace().empty());
+  // Nothing is recorded unless a trace is attached, and attaching one only
+  // observes: the run itself is the same.
+  const auto run = [](obs::Trace* trace) {
+    runtime::SimOptions options;
+    options.obs_trace = trace;
+    runtime::Simulator sim(core::reachable_program(), options);
+    sim.inject_all(core::link_facts(core::line_topology(3)));
+    return sim.run();
+  };
+  EXPECT_EQ(runtime::SimOptions{}.obs_trace, nullptr);
+  const auto bare = run(nullptr);
+  obs::Trace trace;
+  const auto traced = run(&trace);
+  EXPECT_GT(trace.size(), 0u);
+  EXPECT_EQ(bare.events_processed, traced.events_processed);
+  EXPECT_EQ(bare.messages_sent, traced.messages_sent);
+  EXPECT_EQ(bare.tuples_derived, traced.tuples_derived);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 // fvn::ltl unit tests: spec parsing and diagnostics, NNF rewriting, Büchi
-// construction, LTL model checking over the NDlog transition system, and the
-// compiled runtime monitor (including the recorded-trace decoder).
+// construction, LTL model checking over the NDlog transition system, the
+// compiled runtime monitor, plus a seeded mutation fuzz of the spec parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 
 #include "core/protocols.hpp"
@@ -84,6 +86,16 @@ TEST(LtlParser, CanonicalApIdentityMergesWildcardSpellings) {
   ApSet aps;
   to_nnf(parse_formula("p(X, _) || p(_, Y)"), aps);
   EXPECT_EQ(aps.aps.size(), 1u);  // both render as p(_,_)
+}
+
+TEST(LtlParser, OutOfRangeNumberIsAParseError) {
+  // Regression for a LtlFuzz finding: integer and real literals beyond
+  // int64/double range escaped the lexer as std::out_of_range.
+  EXPECT_THROW(parse_spec("p: F q(99999999999999999999).\n"), ndlog::ParseError);
+  EXPECT_THROW(parse_spec("p: F q(-99999999999999999999).\n"), ndlog::ParseError);
+  EXPECT_THROW(parse_spec("p: F q(" + std::string(400, '7') + ".5).\n"),
+               ndlog::ParseError);
+  EXPECT_NO_THROW(parse_spec("p: F q(9223372036854775807).\n"));
 }
 
 TEST(LtlParser, ParseErrorsCarryPositions) {
@@ -287,14 +299,11 @@ TEST(LtlChecker, GoldenCounterexampleIsStable) {
 // Runtime monitor
 // ---------------------------------------------------------------------------
 
-TupleEvent ev(TupleEvent::Kind kind, const char* node, Tuple tuple,
-              std::uint64_t ts_us = 0) {
-  TupleEvent e;
-  e.kind = kind;
-  e.node = node;
-  e.tuple = std::move(tuple);
-  e.ts_us = ts_us;
-  return e;
+/// Feed one event at node n0 (TupleEvent is a view, so the tuple lives in
+/// the caller's full expression).
+void feed(MonitorSet& monitors, TupleEvent::Kind kind, const Tuple& tuple) {
+  static const std::string node = "n0";
+  monitors.on_event(TupleEvent{kind, node, tuple, 0.0});
 }
 
 Tuple p_a() { return Tuple("p", {Value::addr("a")}); }
@@ -302,10 +311,9 @@ Tuple p_a() { return Tuple("p", {Value::addr("a")}); }
 TEST(LtlMonitor, SafetyViolationFiresMidTrace) {
   const auto spec = parse_spec("never: G !p(a).\n");
   MonitorSet monitors(spec);
-  monitors.on_event(ev(TupleEvent::Kind::Install, "n0",
-                       Tuple("q", {Value::addr("x")})));
+  feed(monitors, TupleEvent::Kind::Install, Tuple("q", {Value::addr("x")}));
   EXPECT_TRUE(monitors.all_satisfied());
-  monitors.on_event(ev(TupleEvent::Kind::Install, "n0", p_a()));
+  feed(monitors, TupleEvent::Kind::Install, p_a());
   const auto verdicts = monitors.finish();
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_FALSE(verdicts[0].satisfied);
@@ -321,9 +329,9 @@ TEST(LtlMonitor, LivenessSatisfiedOnceWitnessed) {
   // Unsatisfied at end of an empty trace: the stutter extension never
   // produces p(a).
   EXPECT_FALSE(monitors.all_satisfied());
-  monitors.on_event(ev(TupleEvent::Kind::Install, "n0", p_a()));
+  feed(monitors, TupleEvent::Kind::Install, p_a());
   // Even after a retraction, F p was witnessed — still satisfied.
-  monitors.on_event(ev(TupleEvent::Kind::Retract, "n0", p_a()));
+  feed(monitors, TupleEvent::Kind::Retract, p_a());
   const auto verdicts = monitors.finish();
   EXPECT_TRUE(verdicts[0].satisfied);
   EXPECT_FALSE(verdicts[0].fired);
@@ -335,13 +343,13 @@ TEST(LtlMonitor, PersistenceTracksFinalState) {
   const auto spec = parse_spec("hold: F G p(a).\n");
   {
     MonitorSet monitors(spec);
-    monitors.on_event(ev(TupleEvent::Kind::Install, "n0", p_a()));
+    feed(monitors, TupleEvent::Kind::Install, p_a());
     EXPECT_TRUE(monitors.all_satisfied());
   }
   {
     MonitorSet monitors(spec);
-    monitors.on_event(ev(TupleEvent::Kind::Install, "n0", p_a()));
-    monitors.on_event(ev(TupleEvent::Kind::Retract, "n0", p_a()));
+    feed(monitors, TupleEvent::Kind::Install, p_a());
+    feed(monitors, TupleEvent::Kind::Retract, p_a());
     EXPECT_FALSE(monitors.all_satisfied());
   }
 }
@@ -349,8 +357,8 @@ TEST(LtlMonitor, PersistenceTracksFinalState) {
 TEST(LtlMonitor, ExpiryCountsAsRemoval) {
   const auto spec = parse_spec("hold: F G p(a).\n");
   MonitorSet monitors(spec);
-  monitors.on_event(ev(TupleEvent::Kind::Install, "n0", p_a()));
-  monitors.on_event(ev(TupleEvent::Kind::Expire, "n0", p_a()));
+  feed(monitors, TupleEvent::Kind::Install, p_a());
+  feed(monitors, TupleEvent::Kind::Expire, p_a());
   EXPECT_FALSE(monitors.all_satisfied());
 }
 
@@ -360,28 +368,102 @@ TEST(LtlMonitor, StablePredicateOverEvents) {
   // becomes stable at the end.
   const auto spec = parse_spec("conv: F G stable(p).\n");
   MonitorSet monitors(spec);
-  monitors.on_event(ev(TupleEvent::Kind::Install, "n0", p_a()));
-  monitors.on_event(ev(TupleEvent::Kind::Retract, "n0", p_a()));
+  feed(monitors, TupleEvent::Kind::Install, p_a());
+  feed(monitors, TupleEvent::Kind::Retract, p_a());
   EXPECT_TRUE(monitors.all_satisfied());
 }
 
-TEST(LtlMonitor, EventsFromTraceRoundTrip) {
-  obs::Trace trace;
-  trace.instant_at(1000, "install p", "tuple",
-                   "{\"node\":\"n0\",\"tuple\":\"p(a)\"}");
-  trace.instant_at(2000, "retract p", "tuple",
-                   "{\"node\":\"n1\",\"tuple\":\"p(b)\"}");
-  trace.instant_at(2500, "expire p", "tuple",
-                   "{\"node\":\"n1\",\"tuple\":\"p(c)\"}");
-  trace.instant_at(3000, "unrelated", "sim", "{}");  // skipped: wrong category
-  const auto events = events_from_trace(trace.events());
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].kind, TupleEvent::Kind::Install);
-  EXPECT_EQ(events[0].node, "n0");
-  EXPECT_EQ(events[0].tuple.to_string(), "p(a)");
-  EXPECT_EQ(events[0].ts_us, 1000u);
-  EXPECT_EQ(events[1].kind, TupleEvent::Kind::Retract);
-  EXPECT_EQ(events[2].kind, TupleEvent::Kind::Expire);
+// ---------------------------------------------------------------------------
+// Spec parser fuzz: seeded byte flips, truncations and token splices over
+// every shipped spec. Each input must end in a Spec (then check_spec), an
+// ndlog::ParseError, or diagnostics — never another exception, and never a
+// sanitizer report (check.sh runs this label under ASan/UBSan and TSan).
+// ---------------------------------------------------------------------------
+
+/// Spliced in whole: the spec language's tokens plus inputs that stress the
+/// lexer's number, string and comment paths.
+const std::string_view kSpliceTokens[] = {
+    "G", "F", "X", "U", "R", "!", "&&", "||", "->", "(", ")", "@", "_", ",",
+    ".", ":", "-", "-1", "0.5", "stable(", "true", "false", "\"", "\"s\"",
+    "/*", "*/", "//", "\n", "\\", "99999999999999999999",
+    "1111111111111111111111111111111111111111111111111111111111111111111111111"
+    "1111111111111111111111111111111111111111111111111111111111111111111111111"
+    "1111111111111111111111111111111111111111111111111111111111111111111111111"
+    "1111111111111111111111111111111111111111111111111111111111111111111111111"
+    "1111111111111111111111111111111111111111111111111111111111111111111111111",
+    "\xff", "\x80", std::string_view("\0", 1)};
+
+std::string mutate(const std::string& text, std::mt19937_64& rng) {
+  std::string out = text;
+  const auto pick = [&rng](std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+  };
+  const std::size_t edits = 1 + pick(4);
+  for (std::size_t e = 0; e < edits; ++e) {
+    switch (pick(3)) {
+      case 0:  // byte flip
+        if (!out.empty()) out[pick(out.size())] ^= static_cast<char>(1u << pick(8));
+        break;
+      case 1:  // truncation
+        out.resize(pick(out.size() + 1));
+        break;
+      default: {  // token splice
+        const std::string_view token = kSpliceTokens[pick(std::size(kSpliceTokens))];
+        out.insert(pick(out.size() + 1), token);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LtlFuzz, MutatedExampleSpecsParseOrFailCleanly) {
+  const auto dir = std::filesystem::path(FVN_SOURCE_DIR) / "examples" / "ndlog";
+  std::vector<std::filesystem::path> specs;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".ltl") specs.push_back(entry.path());
+  }
+  std::sort(specs.begin(), specs.end());  // directory order is unspecified
+  ASSERT_FALSE(specs.empty());
+
+  std::mt19937_64 rng(0x5eed1u);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const auto& path : specs) {
+    std::string stem = path.stem().string();
+    if (const auto cut = stem.find("_violated"); cut != std::string::npos) {
+      stem.resize(cut);
+    }
+    std::ifstream ndlog_in(dir / (stem + ".ndlog"));
+    std::ifstream spec_in(path);
+    std::ostringstream program_text;
+    std::ostringstream spec_text;
+    program_text << ndlog_in.rdbuf();
+    spec_text << spec_in.rdbuf();
+    const auto catalog =
+        ndlog::Catalog::from_program(ndlog::parse_program(program_text.str()));
+    for (int i = 0; i < 1000; ++i) {
+      const std::string input = mutate(spec_text.str(), rng);
+      try {
+        const Spec spec = parse_spec(input, "fuzz.ltl");
+        ndlog::DiagnosticSink sink;
+        check_spec(spec, catalog, sink);
+        ++parsed;
+      } catch (const ndlog::ParseError& e) {
+        EXPECT_GE(e.line(), 1);
+        EXPECT_GE(e.column(), 1);
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << path.filename() << " mutation " << i << ": "
+                      << e.what() << "\ninput:\n"
+                      << input;
+      }
+    }
+  }
+  // Both outcomes occur, so the mutations neither always break nor never
+  // touch the grammar.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

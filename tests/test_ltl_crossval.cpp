@@ -5,10 +5,9 @@
 // (<name>_violated.ltl) that must fail on *every* schedule — proving the
 // monitors actually fire, not merely that satisfied specs pass.
 //
-// Also pins the engine-agnostic tuple-event stream shape (cat "tuple"
-// instants with {"node":...,"tuple":...} args) for both the simulator and
-// fvn::net: folding install/retract/expire over the stream must reproduce
-// each engine's final per-node database exactly.
+// Also pins the typed tuple-event stream both runtimes hand their tuple
+// sinks: folding install/retract/expire over it must reproduce each
+// runtime's final per-node database exactly.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -97,25 +96,15 @@ std::vector<Case> load_cases() {
   return cases;
 }
 
-// Run the spec's monitors over a simulator execution via the live hook.
+// Run the spec's monitors over a simulator execution as a live tuple sink.
 std::vector<ltl::MonitorVerdict> sim_monitor_verdicts(const Case& c,
                                                       const ltl::Spec& spec,
                                                       EngineKind engine) {
   ltl::MonitorSet monitors(spec);
   runtime::SimOptions options;
   options.engine = engine;
-  options.tuple_events = [&monitors](std::string_view kind,
-                                     const std::string& node_name,
-                                     const Tuple& tuple, double now) {
-    ltl::TupleEvent e;
-    e.kind = kind == "install" ? ltl::TupleEvent::Kind::Install
-             : kind == "retract" ? ltl::TupleEvent::Kind::Retract
-                                 : ltl::TupleEvent::Kind::Expire;
-    e.node = node_name;
-    e.tuple = tuple;
-    e.ts_us = static_cast<std::uint64_t>(now * 1e6);
-    monitors.on_event(e);
-  };
+  options.tuple_sinks.push_back(
+      [&monitors](const runtime::TupleEvent& e) { monitors.on_event(e); });
   runtime::Simulator sim(c.program, options);
   sim.inject_all(c.facts);
   const auto stats = sim.run();
@@ -124,18 +113,18 @@ std::vector<ltl::MonitorVerdict> sim_monitor_verdicts(const Case& c,
   return monitors.finish();
 }
 
-// Run the spec's monitors over a recorded cluster trace.
+// Run the spec's monitors live over a cluster execution: the cluster
+// serializes its node threads' events into the sink.
 std::vector<ltl::MonitorVerdict> cluster_monitor_verdicts(
     const Case& c, const ltl::Spec& spec, net::ClusterOptions options) {
-  options.capture_tuple_events = true;
+  ltl::MonitorSet monitors(spec);
+  options.tuple_sinks.push_back(
+      [&monitors](const runtime::TupleEvent& e) { monitors.on_event(e); });
   net::Cluster cluster(c.program, options);
   cluster.inject_all(c.facts);
   const auto stats = cluster.run();
   EXPECT_TRUE(stats.quiesced) << c.name;
-  const auto events = ltl::events_from_trace(cluster.tuple_events());
-  EXPECT_FALSE(events.empty()) << c.name;
-  ltl::MonitorSet monitors(spec);
-  for (const auto& e : events) monitors.on_event(e);
+  EXPECT_GT(monitors.events(), 0u) << c.name;
   return monitors.finish();
 }
 
@@ -240,31 +229,25 @@ TEST(LtlCrossval, ClusterMonitorsAgreeUdp) {
 }
 
 // ---------------------------------------------------------------------------
-// Tuple-event stream shape: identical across engines, and folding it
-// reproduces the final databases exactly.
+// Tuple-event stream: folding it reproduces the final databases exactly.
 // ---------------------------------------------------------------------------
 
 using Folded = std::map<std::string, std::multiset<std::string>>;
 
-template <typename Events>
-Folded fold(const Events& events) {
-  Folded db;
-  for (const auto& e : events) {
-    auto& rel = db[e.node];
-    const std::string text = e.tuple.to_string();
-    if (e.kind == ltl::TupleEvent::Kind::Install) {
-      rel.insert(text);
-    } else {
-      const auto it = rel.find(text);
-      if (it == rel.end()) {
-        ADD_FAILURE() << "retract/expire of a tuple never installed at "
-                      << e.node << ": " << text;
-        continue;
-      }
-      rel.erase(it);
-    }
+void fold(Folded& db, const runtime::TupleEvent& e) {
+  auto& rel = db[e.node];
+  const std::string text = e.tuple.to_string();
+  if (e.kind == runtime::TupleEvent::Kind::Install) {
+    rel.insert(text);
+    return;
   }
-  return db;
+  const auto it = rel.find(text);
+  if (it == rel.end()) {
+    ADD_FAILURE() << "retract/expire of a tuple never installed at " << e.node
+                  << ": " << text;
+    return;
+  }
+  rel.erase(it);
 }
 
 void expect_folds_to(const Folded& folded,
@@ -284,37 +267,29 @@ void expect_folds_to(const Folded& folded,
 TEST(LtlCrossval, SimulatorTupleStreamFoldsToDatabase) {
   for (const auto& c : load_cases()) {
     SCOPED_TRACE(c.name);
-    // Capture both the live hook and the obs trace; the recorded stream must
-    // decode back to the exact live stream (the shape contract).
-    std::vector<ltl::TupleEvent> live;
+    // The obs trace carries exactly one cat "tuple" instant per sink event,
+    // named "<kind> <pred>", in the same order.
+    Folded folded;
+    std::vector<std::string> names;
     obs::Trace trace;
     runtime::SimOptions options;
     options.obs_trace = &trace;
-    options.tuple_events = [&live](std::string_view kind,
-                                   const std::string& node_name,
-                                   const Tuple& tuple, double now) {
-      ltl::TupleEvent e;
-      e.kind = kind == "install" ? ltl::TupleEvent::Kind::Install
-               : kind == "retract" ? ltl::TupleEvent::Kind::Retract
-                                   : ltl::TupleEvent::Kind::Expire;
-      e.node = node_name;
-      e.tuple = tuple;
-      e.ts_us = static_cast<std::uint64_t>(now * 1e6);
-      live.push_back(e);
-    };
+    options.tuple_sinks.push_back([&folded, &names](const runtime::TupleEvent& e) {
+      fold(folded, e);
+      names.push_back(std::string(runtime::to_string(e.kind)) + " " +
+                      e.tuple.predicate());
+    });
     runtime::Simulator sim(c.program, options);
     sim.inject_all(c.facts);
     EXPECT_TRUE(sim.run().quiesced);
 
-    const auto decoded = ltl::events_from_trace(trace.events());
-    ASSERT_EQ(decoded.size(), live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      EXPECT_EQ(decoded[i].kind, live[i].kind);
-      EXPECT_EQ(decoded[i].node, live[i].node);
-      EXPECT_EQ(decoded[i].tuple.to_string(), live[i].tuple.to_string());
+    std::vector<std::string> instants;
+    for (const auto& e : trace.events()) {
+      if (e.phase == 'i' && e.cat == "tuple") instants.push_back(e.name);
     }
+    EXPECT_EQ(instants, names);
+    EXPECT_FALSE(names.empty());
 
-    const Folded folded = fold(live);
     expect_folds_to(
         folded,
         [&sim](const std::string& n) -> const ndlog::Database& {
@@ -327,21 +302,17 @@ TEST(LtlCrossval, SimulatorTupleStreamFoldsToDatabase) {
 TEST(LtlCrossval, ClusterTupleStreamFoldsToDatabase) {
   for (const auto& c : load_cases()) {
     SCOPED_TRACE(c.name);
+    Folded folded;
+    std::size_t events = 0;
     net::ClusterOptions options;
-    options.capture_tuple_events = true;
+    options.tuple_sinks.push_back([&folded, &events](const runtime::TupleEvent& e) {
+      fold(folded, e);
+      ++events;
+    });
     net::Cluster cluster(c.program, options);
     cluster.inject_all(c.facts);
     EXPECT_TRUE(cluster.run().quiesced);
-    // Same shape as the simulator: cat "tuple", name "<kind> <pred>",
-    // {"node":...,"tuple":...} args — decoded by the same function.
-    for (const auto& raw : cluster.tuple_events()) {
-      EXPECT_EQ(raw.cat, "tuple");
-      EXPECT_NE(raw.args_json.find("\"node\""), std::string::npos);
-      EXPECT_NE(raw.args_json.find("\"tuple\""), std::string::npos);
-    }
-    const auto events = ltl::events_from_trace(cluster.tuple_events());
-    EXPECT_EQ(events.size(), cluster.tuple_events().size());
-    const Folded folded = fold(events);
+    EXPECT_GT(events, 0u);
     expect_folds_to(
         folded,
         [&cluster](const std::string& n) -> const ndlog::Database& {

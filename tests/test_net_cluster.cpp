@@ -301,6 +301,53 @@ TEST(ClusterQuiescence, PathVectorRingUnderContentionNeverStopsEarly) {
   }
 }
 
+/// The cluster calls its tuple sinks one at a time although every node thread
+/// emits: the first sink guards itself with a plain (non-atomic) flag, so an
+/// unserialized call shows as a data race under TSan and as an overlap count
+/// here. The second folds the stream into per-node multisets, which must be
+/// exactly each node's final database even with 20% of frames dropped and
+/// retransmitted.
+TEST(ClusterTupleSinks, SerializedAcrossNodeThreadsAndFoldToEachDatabase) {
+  const auto program = ndlog::parse_program(core::path_vector_source(), "path_vector");
+  net::ClusterOptions options;
+  options.engine = EngineKind::Dataflow;
+  options.transport = net::TransportKind::InProc;
+  options.faults.drop_rate = 0.2;
+  options.faults.seed = 5;
+  bool inside = false;
+  std::size_t overlaps = 0;
+  std::size_t calls = 0;
+  options.tuple_sinks.push_back([&](const runtime::TupleEvent&) {
+    if (inside) ++overlaps;
+    inside = true;
+    ++calls;
+    std::this_thread::yield();  // widen the window an unserialized call would hit
+    inside = false;
+  });
+  std::map<std::string, std::multiset<std::string>> folded;
+  options.tuple_sinks.push_back([&folded](const runtime::TupleEvent& e) {
+    auto& rel = folded[e.node];
+    if (e.kind == runtime::TupleEvent::Kind::Install) {
+      rel.insert(e.tuple.to_string());
+    } else if (const auto it = rel.find(e.tuple.to_string()); it != rel.end()) {
+      rel.erase(it);
+    } else {
+      ADD_FAILURE() << "removal of a tuple never installed at " << e.node;
+    }
+  });
+  net::Cluster cluster(program, options);
+  cluster.inject_all(seeded_cost_ring(16, 11));
+  const auto stats = cluster.run();
+  ASSERT_TRUE(stats.quiesced);
+  EXPECT_GT(stats.retransmitted, 0u);
+  EXPECT_EQ(overlaps, 0u);
+  EXPECT_GE(calls, stats.tuples_installed);
+  for (const auto& n : cluster.nodes()) {
+    const auto rows = cluster.database(n).dump();
+    EXPECT_EQ(folded[n], std::multiset<std::string>(rows.begin(), rows.end())) << n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // UDP transport (loopback sockets; skipped cleanly where unavailable)
 // ---------------------------------------------------------------------------

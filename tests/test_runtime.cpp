@@ -16,6 +16,7 @@ using ndlog::Tuple;
 using ndlog::Value;
 using runtime::SimOptions;
 using runtime::Simulator;
+using runtime::TupleEvent;
 
 TEST(Localize, PathVectorR2IsRewritten) {
   auto program = core::path_vector_program();
@@ -128,14 +129,18 @@ TEST(Simulator, LossyLinksDropMessages) {
 
 TEST(Simulator, RuntimeMonitorFlagsViolations) {
   // Monitor asserting all path costs stay below 3 — violated on a longer line.
-  Simulator sim(core::path_vector_program(), SimOptions{});
-  sim.inject_all(link_facts(core::line_topology(6)));
-  sim.add_monitor([](const std::string&, const Tuple& t, double) {
-    if (t.predicate() != "path") return true;
-    return t.at(3).as_int() < 3;
+  std::size_t violations = 0;
+  SimOptions options;
+  options.tuple_sinks.push_back([&violations](const TupleEvent& e) {
+    if (e.kind == TupleEvent::Kind::Install && e.tuple.predicate() == "path" &&
+        e.tuple.at(3).as_int() >= 3) {
+      ++violations;
+    }
   });
-  auto stats = sim.run();
-  EXPECT_GT(stats.monitor_violations, 0u);
+  Simulator sim(core::path_vector_program(), options);
+  sim.inject_all(link_facts(core::line_topology(6)));
+  sim.run();
+  EXPECT_GT(violations, 0u);
 }
 
 TEST(Simulator, PolicyPathVectorRunsDistributed) {

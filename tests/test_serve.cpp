@@ -265,7 +265,8 @@ TEST(ServePlane, SimulatorFeedProjectsTheFixpointExactly) {
   serve::Feed feed(plane);  // publish at delta-round (virtual time) boundaries
 
   runtime::SimOptions options;
-  options.tuple_events = feed.hook();
+  options.tuple_sinks.push_back(
+      [&feed](const runtime::TupleEvent& e) { feed.on_event(e); });
   runtime::Simulator sim(core::path_vector_program(), options);
   sim.inject_all(core::link_facts(core::line_topology(8)));
   // A shortcut arriving well after the line converges: the n0<->n7 routes
@@ -309,18 +310,18 @@ TEST(ServePlane, SimulatorFeedProjectsTheFixpointExactly) {
 }
 
 TEST(ServePlane, ClusterFeedReachesTheSameSnapshot) {
-  // Same program on the threaded cluster: events arrive concurrently from
-  // node threads through the thread-safe feed; the final forced publish must
-  // equal the merged fixpoint projection. (Runs under TSan in check.sh.)
+  // Same program on the threaded cluster: the cluster serializes its node
+  // threads' events into the feed; the final forced publish must equal the
+  // merged fixpoint projection. (Runs under TSan in check.sh.)
   auto plane = make_path_vector_plane();
   serve::Feed::Options fo;
   fo.publish_on_time_advance = false;  // node clocks are not comparable
   fo.publish_every = 16;
-  fo.thread_safe = true;
   serve::Feed feed(plane, fo);
 
   net::ClusterOptions options;
-  options.tuple_events = feed.hook();
+  options.tuple_sinks.push_back(
+      [&feed](const runtime::TupleEvent& e) { feed.on_event(e); });
   net::Cluster cluster(core::path_vector_program(), options);
   cluster.inject_all(core::link_facts(core::line_topology(6)));
   const auto stats = cluster.run();

@@ -897,6 +897,34 @@ TEST(CliMonitor, SpecParseErrorExitsTwo) {
   EXPECT_NE(result.output.find("LT0001"), std::string::npos) << result.output;
 }
 
+// --monitor and --serve attach two sinks to one run: the monitor must still
+// fire and the plane must still serve the fixpoint.
+TEST(CliMonitor, SimMonitorAndServeComposeOnOneStream) {
+  const auto prog = serve_fixture_program();
+  const auto facts = serve_fixture_facts();
+  const auto bad =
+      write_temp_program("pv_bad.ltl", "never: G !bestPath(@n0, n3, _, _).\n");
+  const auto result = run_cli("sim " + prog + " " + facts + " --monitor " + bad +
+                              " --serve bestPath:dst,nexthop,cost");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("VIOLATED (fired at event"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("serve: routes=12"), std::string::npos) << result.output;
+}
+
+TEST(CliMonitor, DistMonitorAndServeComposeOnOneStream) {
+  const auto prog = serve_fixture_program();
+  const auto facts = serve_fixture_facts();
+  const auto bad =
+      write_temp_program("pv_bad.ltl", "never: G !bestPath(@n0, n3, _, _).\n");
+  const auto result = run_cli("dist " + prog + " " + facts + " --monitor " + bad +
+                              " --serve bestPath:dst,nexthop,cost");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("VIOLATED (fired at event"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("serve: routes=12"), std::string::npos) << result.output;
+}
+
 #endif  // FVN_CLI_PATH
 
 }  // namespace
