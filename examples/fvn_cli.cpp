@@ -59,7 +59,7 @@
 //                                        as a Chrome trace
 //                     exit 0 = every property holds (possibly bounded),
 //                     1 = a property is violated (counterexample printed),
-//                     2 = usage / parse error (LT0001)
+//                     2 = usage / parse error (LT0001) / spec error (LT0006)
 //
 // simulate/sim and dist additionally accept
 //   --monitor <spec.ltl>  compile each property into an online runtime
@@ -430,8 +430,9 @@ std::uint64_t parse_uint_flag(const std::string& flag, const std::string& value)
 }
 
 /// Load and validate an `.ltl` spec against the program's catalog. Malformed
-/// specs render as an LT0001 diagnostic and exit 2 (UsageError); consistency
-/// warnings (LT0002..LT0005) print to stderr but do not block.
+/// specs render as an LT0001 diagnostic and exit 2 (UsageError), as do
+/// check errors (LT0006); consistency warnings (LT0002..LT0005) print to
+/// stderr but do not block.
 fvn::ltl::Spec load_ltl_spec(const std::string& path,
                              const fvn::ndlog::Program& program) {
   const std::string source = slurp(path);
@@ -450,6 +451,7 @@ fvn::ltl::Spec load_ltl_spec(const std::string& path,
   if (!sink.diagnostics().empty()) {
     std::cerr << fvn::ndlog::render_human(sink.diagnostics(), path);
   }
+  if (sink.has_errors()) throw UsageError("LTL spec " + path + " is rejected");
   if (spec.properties.empty()) {
     throw UsageError("LTL spec " + path + " declares no properties");
   }

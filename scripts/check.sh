@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repository health gate: tier-1 build + tests, the analyze-all sweep over
+# Repository health gate: tier-1 build + tests, the repository benchmark on
+# tiny inputs (perfbench/test_tiny.py), the analyze-all sweep over
 # every shipped example (ctest -L analyze), the ltl, parallel and serve
 # suites, the same tests again under ASan/UBSan, the concurrent
 # `net|ltl|parallel|serve` suites once more under TSan (build-tsan),
@@ -39,6 +40,14 @@ echo "== check: tier-1 build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+# Repository benchmark, tiny inputs: every workload BENCHMARK.json lists,
+# untraced and traced, with its correctness oracle (the converged fixpoint
+# checked against the centralized evaluator) and its metric schema. An engine
+# change that breaks the benchmark's oracle fails here. It builds the
+# benchmark in Release mode into .bench_build/ first (see perfbench/run.py).
+echo "== check: repository benchmark, tiny (perfbench/test_tiny.py) =="
+python3 perfbench/test_tiny.py
 
 # analyze-all: lint + analyze (--json, --cost) over every shipped example,
 # exercised through the fvn_cli binary by test_analyze_all. A fast, focused

@@ -1,11 +1,12 @@
 #include "dataflow/engine.hpp"
 
+#include <utility>
+
 namespace fvn::dataflow {
 
 using ndlog::CmpOp;
 using ndlog::Database;
 using ndlog::Tuple;
-using ndlog::TupleSet;
 using ndlog::Value;
 
 namespace {
@@ -156,11 +157,14 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
         }
       }
       const Value& v = regs_[static_cast<std::size_t>(e.agg_slot)];
-      auto& group = (*ctx.groups)[key];
+      GroupState& groups = ctx.agg->groups;
+      auto [git, fresh] = groups.try_emplace(std::move(key));
+      ctx.agg->touched.try_emplace(git->first, !fresh);
+      auto& group = git->second;
       auto it = group.emplace(v, 0).first;
       it->second += ctx.sign;
       if (it->second <= 0) group.erase(it);
-      if (group.empty()) ctx.groups->erase(key);
+      if (group.empty()) groups.erase(git);
       ++stats_.agg_updates;
       bump(obs.out);
       return;
@@ -172,7 +176,7 @@ void Engine::exec(RunCtx& ctx, std::size_t ei) {
 }
 
 void Engine::run_strand(const Strand& strand, const StrandObs& obs, const Tuple& delta,
-                        const Database& db, std::vector<Tuple>* out, GroupState* groups,
+                        const Database& db, std::vector<Tuple>* out, AggState* agg,
                         int sign) {
   if (strand.dead || strand.elements.empty()) return;
   if (regs_.size() < strand.nslots) regs_.resize(strand.nslots);
@@ -182,7 +186,7 @@ void Engine::run_strand(const Strand& strand, const StrandObs& obs, const Tuple&
   ctx.delta = &delta;
   ctx.db = &db;
   ctx.out = out;
-  ctx.groups = groups;
+  ctx.agg = agg;
   ctx.sign = sign;
   exec(ctx, 0);
 }
@@ -200,12 +204,13 @@ void Engine::touch(const Tuple& tuple, int sign, const Database& db) {
   const int id = plan_->pred_id(tuple.predicate());
   if (id < 0) return;
   const auto uid = static_cast<std::size_t>(id);
-  for (std::size_t ai : plan_->aggregates_by_id[uid]) agg_[ai].dirty = true;
+  for (std::size_t ai : plan_->aggregates_by_id[uid]) {
+    if (!plan_->aggregates[ai].incremental) agg_[ai].dirty = true;
+  }
   for (const auto& [ai, si] : plan_->agg_strands_by_id[uid]) {
     const AggregateRulePlan& ap = plan_->aggregates[ai];
     if (!ap.incremental) continue;
-    run_strand(ap.strands[si], agg_obs_[ai][si], tuple, db, nullptr, &agg_[ai].groups,
-               sign);
+    run_strand(ap.strands[si], agg_obs_[ai][si], tuple, db, nullptr, &agg_[ai], sign);
   }
 }
 
@@ -213,30 +218,38 @@ void Engine::on_insert(const Tuple& tuple, const Database& db) { touch(tuple, +1
 
 void Engine::on_erase(const Tuple& tuple, const Database& db) { touch(tuple, -1, db); }
 
-std::optional<TupleSet> Engine::flush_aggregate(std::size_t index, const Database& db) {
+AggFlush Engine::flush_aggregate(std::size_t index, const Database& db) {
   const AggregateRulePlan& ap = plan_->aggregates[index];
   AggState& state = agg_[index];
-  if (!state.dirty) return std::nullopt;
-  // Clear *before* building: mutations the executive performs while routing
-  // this flush's diff (aggregate-row erasures, recursive installs) re-dirty
-  // the rule and are picked up by the next flush, exactly like the
-  // interpreter's per-delivery recompute.
-  state.dirty = false;
   const ndlog::Rule& rule = plan_->program.rules[ap.rule_index];
-  TupleSet outputs;
-  if (ap.incremental) {
-    // Iterate groups in sorted key order — the same order the interpreter's
-    // eval_agg_rule sinks rows in — so the output set is built by an
-    // identical insertion sequence (identical iteration order downstream).
-    for (const auto& [key, multiset] : state.groups) {
-      std::vector<Value> values = key;
-      values[ap.agg_pos] = aggregate_value(ap, multiset);
-      outputs.insert(Tuple(rule.head.predicate, std::move(values)));
-    }
-  } else {
-    fallback_.eval_agg_rule(rule, db, [&](Tuple t) { outputs.insert(std::move(t)); });
+  // Take the pending changes *before* reporting: mutations the executive
+  // performs while applying this flush (aggregate-row erasures, recursive
+  // installs) are collected for the next flush, exactly like the
+  // interpreter's per-delivery recompute.
+  AggFlush flush;
+  if (!ap.incremental) {
+    if (!std::exchange(state.dirty, false)) return flush;
+    flush.complete = true;
+    fallback_.eval_agg_rule(rule, db, [&](Tuple t) {
+      flush.groups.push_back(GroupRow{std::move(t), true});
+    });
+    return flush;
   }
-  return outputs;
+  auto touched = std::move(state.touched);
+  state.touched.clear();
+  flush.groups.reserve(touched.size());
+  // The touched map iterates in group-key order, the order in which the
+  // interpreter's eval_agg_rule emits its groups.
+  while (!touched.empty()) {
+    auto entry = touched.extract(touched.begin());
+    std::vector<Value>& values = entry.key();
+    const auto group = state.groups.find(values);
+    const bool present = group != state.groups.end();
+    if (!present && !entry.mapped()) continue;  // appeared and vanished
+    if (present) values[ap.agg_pos] = aggregate_value(ap, group->second);
+    flush.groups.push_back(GroupRow{Tuple(rule.head.predicate, std::move(values)), present});
+  }
+  return flush;
 }
 
 Value Engine::aggregate_value(const AggregateRulePlan& ap,

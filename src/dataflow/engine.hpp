@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "dataflow/plan.hpp"
@@ -26,6 +25,24 @@ struct EngineStats {
   std::uint64_t tuples_emitted = 0;    // head tuples handed to the executive
   std::uint64_t probes = 0;            // tuples examined by relational elements
   std::uint64_t agg_updates = 0;       // group-state ± applications
+};
+
+/// One aggregate group reported by a flush.
+struct GroupRow {
+  /// The group's current output row; for a group that is gone, a row with
+  /// the group's key columns (the aggregate column is unspecified).
+  ndlog::Tuple row;
+  bool present = true;
+};
+
+/// What one flush of an aggregate rule reports, in group-key order (the
+/// head arguments compared column by column, skipping the aggregate's).
+struct AggFlush {
+  std::vector<GroupRow> groups;
+  /// False: `groups` are the groups touched since the last flush, present or
+  /// gone. True (recompute): `groups` are every group that exists, all
+  /// present, so a group missing from them is gone.
+  bool complete = false;
 };
 
 class Engine {
@@ -50,12 +67,13 @@ class Engine {
   void on_insert(const ndlog::Tuple& tuple, const ndlog::Database& db);
   void on_erase(const ndlog::Tuple& tuple, const ndlog::Database& db);
 
-  /// Recompute aggregate rule `index`'s output view. Returns nullopt when no
-  /// relevant mutation occurred since the last flush (the view provably
-  /// equals whatever was returned last). The executive diffs the returned
-  /// set against its cache and routes retractions/additions.
-  std::optional<ndlog::TupleSet> flush_aggregate(std::size_t index,
-                                                 const ndlog::Database& db);
+  /// Report aggregate rule `index`'s groups that may have changed since the
+  /// last flush. Incremental mode lists each group touched since then with
+  /// its current value, or gone, skipping groups that appeared and vanished
+  /// in between: O(touched groups). The recompute fallback lists every group
+  /// (complete) when a body predicate changed, nothing otherwise. The
+  /// executive diffs the report against the rows it last emitted.
+  AggFlush flush_aggregate(std::size_t index, const ndlog::Database& db);
 
   const EngineStats& stats() const noexcept { return stats_; }
   const Plan& plan() const noexcept { return *plan_; }
@@ -72,6 +90,10 @@ class Engine {
                               std::map<ndlog::Value, std::int64_t>>;
   struct AggState {
     GroupState groups;
+    /// Incremental mode: group keys touched since the last flush -> whether
+    /// the group existed at that flush.
+    std::map<std::vector<ndlog::Value>, bool> touched;
+    /// Recompute mode: a body predicate changed since the last flush.
     bool dirty = false;
   };
   struct RunCtx {
@@ -80,13 +102,13 @@ class Engine {
     const ndlog::Tuple* delta = nullptr;
     const ndlog::Database* db = nullptr;
     std::vector<ndlog::Tuple>* out = nullptr;  // Project sink
-    GroupState* groups = nullptr;              // Aggregate sink
+    AggState* agg = nullptr;                   // Aggregate sink
     int sign = +1;
   };
 
   void run_strand(const Strand& strand, const StrandObs& obs, const ndlog::Tuple& delta,
                   const ndlog::Database& db, std::vector<ndlog::Tuple>* out,
-                  GroupState* groups, int sign);
+                  AggState* agg, int sign);
   static ndlog::Value aggregate_value(const AggregateRulePlan& ap,
                                       const std::map<ndlog::Value, std::int64_t>& group);
   void exec(RunCtx& ctx, std::size_t ei);

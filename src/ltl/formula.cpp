@@ -1,6 +1,7 @@
 #include "ltl/formula.hpp"
 
 #include <cctype>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -530,6 +531,28 @@ FormulaPtr parse_formula(std::string_view source) {
 
 namespace {
 
+/// The AP an Atom or Stable formula stands for; its text is ApSet's identity.
+ApSet::Ap ap_of(const Formula& f) {
+  ApSet::Ap ap;
+  if (f.op == Op::Stable) {
+    ap.is_stable = true;
+    ap.pred = f.pred;
+    ap.text = "stable(" + f.pred + ")";
+  } else {
+    ap.pattern = f.pattern;
+    ap.text = f.pattern.to_string();
+  }
+  return ap;
+}
+
+/// The distinct AP texts of a formula: what to_nnf would intern.
+void collect_aps(const FormulaPtr& f, std::set<std::string>& texts) {
+  if (!f) return;
+  if (f->op == Op::Atom || f->op == Op::Stable) texts.insert(ap_of(*f).text);
+  collect_aps(f->lhs, texts);
+  collect_aps(f->rhs, texts);
+}
+
 void check_formula(const FormulaPtr& f, const ndlog::Catalog& catalog,
                    ndlog::DiagnosticSink& sink, bool& warned_next) {
   if (!f) return;
@@ -585,6 +608,15 @@ void check_spec(const Spec& spec, const ndlog::Catalog& catalog,
   for (const auto& prop : spec.properties) {
     bool warned_next = false;
     check_formula(prop.formula, catalog, sink, warned_next);
+    std::set<std::string> aps;
+    collect_aps(prop.formula, aps);
+    if (aps.size() > ApSet::kMax) {
+      sink.error("LT0006",
+                 "property '" + prop.name + "' uses " + std::to_string(aps.size()) +
+                     " distinct atomic propositions; at most " +
+                     std::to_string(ApSet::kMax) + " are supported",
+                 prop.span);
+    }
   }
 }
 
@@ -596,9 +628,9 @@ std::size_t ApSet::intern(const Ap& ap) {
   for (std::size_t i = 0; i < aps.size(); ++i) {
     if (aps[i].text == ap.text) return i;
   }
-  if (aps.size() >= 64) {
-    throw std::runtime_error("ltl: a property may use at most 64 distinct "
-                             "atomic propositions");
+  if (aps.size() >= kMax) {
+    throw std::runtime_error("ltl: a property may use at most " + std::to_string(kMax) +
+                             " distinct atomic propositions");
   }
   aps.push_back(ap);
   return aps.size() - 1;
@@ -652,20 +684,9 @@ NnfPtr to_nnf(const FormulaPtr& f, ApSet& aps, bool negated) {
   switch (f->op) {
     case Op::True: return nnf_const(!negated);
     case Op::False: return nnf_const(negated);
-    case Op::Atom: {
-      ApSet::Ap ap;
-      ap.is_stable = false;
-      ap.pattern = f->pattern;
-      ap.text = f->pattern.to_string();
-      return nnf_lit(aps.intern(ap), !negated);
-    }
-    case Op::Stable: {
-      ApSet::Ap ap;
-      ap.is_stable = true;
-      ap.pred = f->pred;
-      ap.text = "stable(" + f->pred + ")";
-      return nnf_lit(aps.intern(ap), !negated);
-    }
+    case Op::Atom:
+    case Op::Stable:
+      return nnf_lit(aps.intern(ap_of(*f)), !negated);
     case Op::Not: return to_nnf(f->lhs, aps, !negated);
     case Op::And:
       return nnf_node(negated ? K::Or : K::And, to_nnf(f->lhs, aps, negated),

@@ -135,7 +135,10 @@ FormulaPtr parse_formula(std::string_view source);
 ///                   per message delivery, the monitor per tuple event, so
 ///                   mc ↔ monitor agreement is not guaranteed under X
 ///   LT0005 warning  stable() names a predicate the program never stores
-/// Warnings do not block checking (exit-code convention matches lint).
+///   LT0006 error    a property uses more distinct atomic propositions than
+///                   a Valuation holds (ApSet::kMax)
+/// Warnings do not block checking (exit-code convention matches lint);
+/// errors reject the spec.
 void check_spec(const Spec& spec, const ndlog::Catalog& catalog,
                 ndlog::DiagnosticSink& sink);
 
@@ -154,7 +157,11 @@ struct ApSet {
   };
   std::vector<Ap> aps;
 
-  /// Index of the AP (inserting if new). Throws std::runtime_error past 64.
+  /// Distinct APs one property may use: one Valuation bit each.
+  static constexpr std::size_t kMax = 64;
+
+  /// Index of the AP (inserting if new). Throws std::runtime_error past
+  /// kMax (check_spec reports such a property as LT0006 first).
   std::size_t intern(const Ap& ap);
 };
 

@@ -8,7 +8,6 @@ namespace fvn::runtime {
 
 using ndlog::Rule;
 using ndlog::Tuple;
-using ndlog::TupleSet;
 using ndlog::Value;
 
 PreparedProgram::PreparedProgram(const ndlog::Program& source,
@@ -33,7 +32,15 @@ PreparedProgram::PreparedProgram(const ndlog::Program& source,
       facts.emplace_back(rule.head.predicate, std::move(values));
       continue;
     }
-    (rule.head.has_aggregate() ? agg_rules : normal_rules).push_back(&rule);
+    if (rule.head.has_aggregate()) {
+      agg_rules.push_back(&rule);
+      auto& fields = agg_group_fields.emplace_back();
+      for (std::size_t i = 0; i < rule.head.args.size(); ++i) {
+        if (!rule.head.args[i].is_agg()) fields.push_back(i + 1);
+      }
+    } else {
+      normal_rules.push_back(&rule);
+    }
     for (const auto& elem : rule.body) {
       const auto* ba = std::get_if<ndlog::BodyAtom>(&elem);
       if (ba != nullptr && ba->atom.predicate == "periodic") uses_periodic = true;
@@ -98,7 +105,9 @@ bool NodeExec::KeyLess::operator()(const Tuple& a, const Tuple& b) const {
 
 NodeExec::NodeExec(const PreparedProgram& program, std::string name, NodeHost& host,
                    obs::Registry* metrics)
-    : program_(&program), name_(std::move(name)), host_(&host), metrics_(metrics) {}
+    : program_(&program), name_(std::move(name)), host_(&host), metrics_(metrics) {
+  for (const auto& fields : program.agg_group_fields) emitted_.emplace_back(KeyLess{&fields});
+}
 
 dataflow::Engine* NodeExec::flow() {
   if (!flow_ && program_->plan) {
@@ -187,7 +196,7 @@ void NodeExec::run_rules(const Tuple& delta, double now, bool agg_each) {
   if (flow() != nullptr) {
     flow_->process(delta, db_, produced);
   } else {
-    TupleSet delta_set{delta};
+    ndlog::TupleSet delta_set{delta};
     for (const Rule* rule : program_->normal_rules) {
       const auto atoms = ndlog::RuleEngine::positive_atoms(*rule);
       std::uint64_t firings = 0;
@@ -215,44 +224,68 @@ void NodeExec::run_rules(const Tuple& delta, double now, bool agg_each) {
 
 bool NodeExec::run_agg_rules(double now, bool agg_each) {
   bool changed = false;
-  if (flow() != nullptr) {
-    const dataflow::Plan& plan = *program_->plan;
-    for (std::size_t i = 0; i < plan.aggregates.size(); ++i) {
-      auto outputs = flow_->flush_aggregate(i, db_);
-      if (!outputs) continue;  // provably unchanged since the last flush
-      const Rule* rule = &program_->program.rules[plan.aggregates[i].rule_index];
-      changed |= apply_view(rule, std::move(*outputs), now, agg_each);
+  for (std::size_t i = 0; i < program_->agg_rules.size(); ++i) {
+    if (flow() != nullptr) {
+      changed |= apply_flush(i, flow_->flush_aggregate(i, db_), now, agg_each);
+      continue;
     }
-    return changed;
-  }
-  for (const Rule* rule : program_->agg_rules) {
-    TupleSet outputs;
-    std::uint64_t firings = 0;
+    const Rule* rule = program_->agg_rules[i];
+    dataflow::AggFlush flush;
+    flush.complete = true;
     program_->engine.eval_agg_rule(*rule, db_, [&](Tuple t) {
-      ++firings;
-      outputs.insert(std::move(t));
+      flush.groups.push_back(dataflow::GroupRow{std::move(t), true});
     });
-    if (firings != 0 && metrics_ != nullptr) {
-      metrics_->counter("sim/rule/" + rule->display_name() + "/firings").add(firings);
+    if (!flush.groups.empty() && metrics_ != nullptr) {
+      metrics_->counter("sim/rule/" + rule->display_name() + "/firings")
+          .add(flush.groups.size());
     }
-    changed |= apply_view(rule, std::move(outputs), now, agg_each);
+    changed |= apply_flush(i, std::move(flush), now, agg_each);
   }
   return changed;
 }
 
-bool NodeExec::apply_view(const Rule* rule, TupleSet outputs, double now, bool agg_each) {
-  TupleSet& prev = agg_cache_[rule];
-  if (outputs == prev) return false;
-  for (const auto& old_row : prev) {
-    if (outputs.contains(old_row)) continue;
+bool NodeExec::apply_flush(std::size_t index, dataflow::AggFlush flush, double now,
+                           bool agg_each) {
+  auto& emitted = emitted_[index];
+  if (flush.complete) {
+    // A complete flush lists only the groups that exist: merge in, in key
+    // order, a gone entry for every emitted group it leaves out.
+    std::vector<dataflow::GroupRow> groups;
+    groups.reserve(flush.groups.size());
+    const auto less = emitted.key_comp();
+    auto old = emitted.begin();
+    for (auto& g : flush.groups) {
+      for (; old != emitted.end() && less(*old, g.row); ++old) groups.push_back({*old, false});
+      if (old != emitted.end() && !less(g.row, *old)) ++old;  // the same group
+      groups.push_back(std::move(g));
+    }
+    for (; old != emitted.end(); ++old) groups.push_back({*old, false});
+    flush.groups = std::move(groups);
+  }
+  std::vector<Tuple> left;
+  std::vector<Tuple> added;
+  for (auto& g : flush.groups) {
+    auto it = emitted.find(g.row);
+    if (it == emitted.end()) {
+      if (!g.present) continue;
+      added.push_back(g.row);
+      emitted.insert(std::move(g.row));
+      continue;
+    }
+    if (g.present && *it == g.row) continue;  // the group's value did not move
+    auto slot = emitted.extract(it);
+    left.push_back(std::move(slot.value()));
+    if (!g.present) continue;
+    added.push_back(g.row);
+    slot.value() = std::move(g.row);  // same group key: the set's order is undisturbed
+    emitted.insert(std::move(slot));
+  }
+  // The emitted rows are already current, so a flush that runs while these
+  // installs recurse diffs against them.
+  for (const auto& old_row : left) {
     if (program_->location_of(old_row) != name_) continue;  // remote copies age out
     remove(old_row, TupleEvent::Kind::Retract, now);
   }
-  std::vector<Tuple> added;
-  for (const auto& row : outputs) {
-    if (!prev.contains(row)) added.push_back(row);
-  }
-  prev = std::move(outputs);
   for (auto& t : added) {
     const std::string& dest = program_->location_of(t);
     if (dest != name_) {
@@ -261,7 +294,7 @@ bool NodeExec::apply_view(const Rule* rule, TupleSet outputs, double now, bool a
       run_rules(t, now, agg_each);
     }
   }
-  return true;
+  return !left.empty() || !added.empty();
 }
 
 }  // namespace fvn::runtime

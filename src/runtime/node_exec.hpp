@@ -12,7 +12,8 @@
 //   * soft-state lifetime/expiry bookkeeping,
 //   * the rule executor — ndlog::RuleEngine or a compiled dataflow::Engine
 //     kept in step through its database-mirror hooks,
-//   * aggregate view maintenance (diff against the last emitted view), and
+//   * aggregate maintenance: one diff of each flush's changed groups against
+//     the rows last emitted, in group-key order, and
 //   * the one emission point of the typed install/retract/expire stream
 //     (TupleEvent) that both runtimes fan out to their tuple sinks.
 //
@@ -92,6 +93,9 @@ struct PreparedProgram {
   std::vector<ndlog::Tuple> facts;     ///< ground facts embedded in the program
   std::vector<const ndlog::Rule*> normal_rules;
   std::vector<const ndlog::Rule*> agg_rules;
+  /// Parallel to agg_rules: each rule's group columns (1-based, every head
+  /// column but the aggregate's), which identify one group's row.
+  std::vector<std::vector<std::size_t>> agg_group_fields;
   bool uses_periodic = false;
 
  private:
@@ -170,8 +174,9 @@ class NodeExec {
   bool expire(const ndlog::Tuple& tuple, double at);
 
  private:
-  /// Keyed-overwrite identity order within one keyed predicate: the
-  /// declared key fields, compared as Values in place.
+  /// Identity order within one predicate: the given fields (a keyed
+  /// predicate's declared keys, or an aggregate rule's group columns),
+  /// compared as Values in place.
   struct KeyLess {
     const std::vector<std::size_t>* key_fields = nullptr;
     bool operator()(const ndlog::Tuple& a, const ndlog::Tuple& b) const;
@@ -187,13 +192,14 @@ class NodeExec {
   /// Erase from the database and every index of it; true if it was present.
   bool remove(const ndlog::Tuple& tuple, TupleEvent::Kind kind, double now);
   void run_rules(const ndlog::Tuple& delta, double now, bool agg_each);
-  /// One aggregate maintenance pass; true if any aggregate view changed.
+  /// One aggregate maintenance pass; true if any aggregate row changed.
   bool run_agg_rules(double now, bool agg_each);
-  /// Diff a freshly computed view against the last one: retract the rows
-  /// that left (local ones; remote copies age out), then install or ship the
-  /// new rows, both in TupleSet iteration order.
-  bool apply_view(const ndlog::Rule* rule, ndlog::TupleSet outputs, double now,
-                  bool agg_each);
+  /// Diff one flush of aggregate rule `index` against the rows last emitted:
+  /// skip groups whose row did not move, retract the rows that left (local
+  /// ones; remote copies age out), then install or ship the new rows, both
+  /// in group-key order. True if any row changed.
+  bool apply_flush(std::size_t index, dataflow::AggFlush flush, double now,
+                   bool agg_each);
 
   const PreparedProgram* program_;
   std::string name_;
@@ -207,8 +213,10 @@ class NodeExec {
   std::unordered_map<std::string, std::set<ndlog::Tuple, KeyLess>> slots_;
   /// Soft state: tuple -> expiry of its latest refresh.
   std::map<ndlog::Tuple, double> expires_at_;
-  /// Per aggregate rule, the view last emitted.
-  std::map<const ndlog::Rule*, ndlog::TupleSet> agg_cache_;
+  /// Per aggregate rule (PreparedProgram::agg_rules order, which is also
+  /// the plan's aggregate order), the row last emitted for each group, in
+  /// group-key order.
+  std::vector<std::set<ndlog::Tuple, KeyLess>> emitted_;
 };
 
 }  // namespace fvn::runtime

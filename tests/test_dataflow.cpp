@@ -3,19 +3,23 @@
 // contract — interpreter and dataflow executors produce bit-identical
 // fixpoints, message counts and convergence times on every shipped example
 // program, under loss and delay, for soft-state/periodic protocols, and with
-// the incremental-aggregate ablation flipped either way.
+// the incremental-aggregate ablation flipped either way — plus the engine's
+// aggregate flush contract (touched groups only, in group-key order).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/protocols.hpp"
+#include "dataflow/engine.hpp"
 #include "dataflow/plan.hpp"
 #include "ndlog/parser.hpp"
 #include "obs/metrics.hpp"
@@ -197,12 +201,201 @@ TEST(Planner, DumpsAreWellFormed) {
 }
 
 // ---------------------------------------------------------------------------
+// Aggregate flush contract: Engine::flush_aggregate reports the groups
+// touched since the last flush, in group-key order, each with its current
+// row or gone; the recompute fallback reports every group.
+// ---------------------------------------------------------------------------
+
+/// One node's engine over one min<> aggregate, with the database the
+/// executive would keep in step through the mirror hooks.
+struct AggBench {
+  explicit AggBench(bool incremental) {
+    dataflow::PlanOptions options;
+    options.incremental_aggregates = incremental;
+    plan = plan_of("materialize(cost, infinity, infinity, keys(1,2,3)).\n"
+                   "g1 best(@S,D,min<C>) :- cost(@S,D,C).\n",
+                   options);
+    engine.emplace(plan, ndlog::BuiltinRegistry::standard());
+  }
+  static Tuple cost(const std::string& dst, long c) {
+    return Tuple("cost", {Value::addr("n0"), Value::addr(dst), Value::integer(c)});
+  }
+  void install(const std::string& dst, long c) {
+    ASSERT_TRUE(db.insert(cost(dst, c)));
+    engine->on_insert(cost(dst, c), db);
+  }
+  void erase(const std::string& dst, long c) {
+    ASSERT_TRUE(db.erase(cost(dst, c)));
+    engine->on_erase(cost(dst, c), db);
+  }
+  dataflow::AggFlush flush() { return engine->flush_aggregate(0, db); }
+
+  dataflow::Plan plan;
+  ndlog::Database db;
+  std::optional<dataflow::Engine> engine;
+};
+
+/// "best(n0,d1,7)" for a present group, "-best(n0,d1,...)" for a gone one.
+std::vector<std::string> reported(const dataflow::AggFlush& flush) {
+  std::vector<std::string> out;
+  for (const auto& g : flush.groups) {
+    if (g.present) {
+      out.push_back(g.row.to_string());
+    } else {
+      out.push_back("-best(" + g.row.at(0).to_string() + "," + g.row.at(1).to_string() +
+                    ")");
+    }
+  }
+  return out;
+}
+
+TEST(AggFlush, ReportsExactlyTheTouchedGroupsInKeyOrder) {
+  AggBench b(/*incremental=*/true);
+  b.install("d2", 5);
+  b.install("d0", 3);
+  b.install("d1", 7);
+  auto first = b.flush();
+  EXPECT_FALSE(first.complete);
+  EXPECT_EQ(reported(first), (std::vector<std::string>{
+                                 "best(n0,d0,3)", "best(n0,d1,7)", "best(n0,d2,5)"}));
+  // d3 stays untouched from here on; d2 is touched without its min moving.
+  b.install("d3", 4);
+  EXPECT_EQ(reported(b.flush()), std::vector<std::string>{"best(n0,d3,4)"});
+  b.install("d2", 9);
+  b.erase("d0", 3);
+  b.install("d1", 2);
+  EXPECT_EQ(reported(b.flush()), (std::vector<std::string>{
+                                     "-best(n0,d0)", "best(n0,d1,2)", "best(n0,d2,5)"}));
+  // Erasing the best value reports the next one.
+  b.erase("d1", 2);
+  EXPECT_EQ(reported(b.flush()), std::vector<std::string>{"best(n0,d1,7)"});
+}
+
+TEST(AggFlush, FlushWithoutMutationReportsNothing) {
+  for (const bool incremental : {true, false}) {
+    AggBench b(incremental);
+    EXPECT_TRUE(b.flush().groups.empty());
+    b.install("d0", 1);
+    EXPECT_EQ(b.flush().groups.size(), 1u);
+    const auto again = b.flush();
+    EXPECT_TRUE(again.groups.empty()) << "incremental=" << incremental;
+    EXPECT_FALSE(again.complete);
+  }
+}
+
+TEST(AggFlush, GroupThatAppearsAndVanishesBetweenFlushesIsNotReported) {
+  AggBench b(/*incremental=*/true);
+  b.install("d0", 1);
+  b.flush();
+  b.install("d5", 2);
+  b.install("d5", 3);
+  b.erase("d5", 2);
+  b.erase("d5", 3);
+  EXPECT_TRUE(b.flush().groups.empty());
+  // A group that existed at the last flush and vanished is reported gone.
+  b.erase("d0", 1);
+  EXPECT_EQ(reported(b.flush()), std::vector<std::string>{"-best(n0,d0)"});
+}
+
+TEST(AggFlush, RecomputeFallbackReportsEveryGroup) {
+  AggBench b(/*incremental=*/false);
+  b.install("d1", 4);
+  b.install("d0", 6);
+  b.flush();
+  b.install("d1", 1);
+  const auto flush = b.flush();
+  EXPECT_TRUE(flush.complete);
+  EXPECT_EQ(reported(flush),
+            (std::vector<std::string>{"best(n0,d0,6)", "best(n0,d1,1)"}));
+}
+
+/// Folds flushes into the rows last emitted per group (keyed by the group
+/// columns) and returns each flush's diff: "-row" for every row that left,
+/// then "+row" for every row that arrived, each in group-key order.
+struct DiffFold {
+  std::map<std::vector<Value>, Tuple> emitted;
+
+  std::vector<std::string> apply(const dataflow::AggFlush& flush) {
+    const auto key_of = [](const Tuple& row) {
+      return std::vector<Value>{row.at(0), row.at(1)};
+    };
+    std::map<std::vector<Value>, std::optional<Tuple>> changes;
+    if (flush.complete) {
+      for (const auto& [key, row] : emitted) changes[key] = std::nullopt;
+    }
+    for (const auto& g : flush.groups) {
+      changes[key_of(g.row)] = g.present ? std::optional<Tuple>(g.row) : std::nullopt;
+    }
+    std::vector<std::string> left;
+    std::vector<std::string> arrived;
+    for (const auto& [key, row] : changes) {
+      auto it = emitted.find(key);
+      if (it != emitted.end() && row && it->second == *row) continue;
+      if (it != emitted.end()) {
+        left.push_back("-" + it->second.to_string());
+        emitted.erase(it);
+      }
+      if (row) {
+        arrived.push_back("+" + row->to_string());
+        emitted.emplace(key, *row);
+      }
+    }
+    left.insert(left.end(), arrived.begin(), arrived.end());
+    return left;
+  }
+};
+
+TEST(AggFlush, RecomputeFallbackYieldsTheIncrementalDiffSequence) {
+  AggBench inc(/*incremental=*/true);
+  AggBench rec(/*incremental=*/false);
+  DiffFold inc_fold;
+  DiffFold rec_fold;
+  std::mt19937_64 rng(0xa66u);
+  std::set<std::pair<std::string, long>> present;
+  std::size_t diffs = 0;
+  for (int step = 0; step < 400; ++step) {
+    const std::string dst = "d" + std::to_string(rng() % 6);
+    const long c = static_cast<long>(rng() % 5);
+    if (present.erase({dst, c}) != 0) {
+      inc.erase(dst, c);
+      rec.erase(dst, c);
+    } else {
+      present.emplace(dst, c);
+      inc.install(dst, c);
+      rec.install(dst, c);
+    }
+    if (rng() % 3 != 0) continue;  // several mutations per flush
+    const auto a = inc_fold.apply(inc.flush());
+    const auto b = rec_fold.apply(rec.flush());
+    ASSERT_EQ(a, b) << "step " << step;
+    diffs += a.size();
+  }
+  EXPECT_GT(diffs, 50u);
+  EXPECT_EQ(inc_fold.emitted, rec_fold.emitted);
+}
+
+// ---------------------------------------------------------------------------
 // Differential suite: interpreter vs dataflow
 // ---------------------------------------------------------------------------
+
+/// One tuple event, copied out of the sink's view.
+struct Event {
+  runtime::TupleEvent::Kind kind;
+  std::string node;
+  Tuple tuple;
+  double now;
+  bool operator==(const Event&) const = default;
+};
+
+std::string describe(const Event& e) {
+  return std::string(runtime::to_string(e.kind)) + " " + e.node + " " +
+         e.tuple.to_string() + " @" + std::to_string(e.now);
+}
 
 struct RunResult {
   SimStats stats;
   std::map<std::string, std::vector<std::string>> dbs;
+  std::vector<Event> events;  // every tuple event, in emission order
 };
 
 struct Workload {
@@ -213,10 +406,13 @@ struct Workload {
 RunResult run_one(const ndlog::Program& program, const Workload& workload,
                   SimOptions options, EngineKind engine) {
   options.engine = engine;
+  RunResult result;
+  options.tuple_sinks.push_back([&result](const runtime::TupleEvent& e) {
+    result.events.push_back(Event{e.kind, e.node, e.tuple, e.now});
+  });
   Simulator sim(program, options);
   sim.inject_all(workload.facts);
   for (const auto& [tuple, at] : workload.retractions) sim.retract(tuple, at);
-  RunResult result;
   result.stats = sim.run();
   for (const auto& node : sim.nodes()) result.dbs[node] = sim.database(node).dump();
   return result;
@@ -224,8 +420,9 @@ RunResult run_one(const ndlog::Program& program, const Workload& workload,
 
 /// Run under both engines and require the observable behavior to be
 /// *identical*: same event/message/drop counts, same convergence instant,
-/// same per-node database contents. This is the operational-equivalence
-/// contract of DESIGN.md §10.
+/// same tuple-event sequence (kind, node, tuple, time), same per-node
+/// database contents. This is the operational-equivalence contract of
+/// DESIGN.md §10.
 void expect_engines_agree(const ndlog::Program& program, const Workload& workload,
                           const SimOptions& options, const std::string& label) {
   SCOPED_TRACE(label);
@@ -241,6 +438,18 @@ void expect_engines_agree(const ndlog::Program& program, const Workload& workloa
   EXPECT_EQ(a.stats.quiesced, b.stats.quiesced);
   EXPECT_DOUBLE_EQ(a.stats.last_change_time, b.stats.last_change_time);
   EXPECT_EQ(a.stats.last_change_by_predicate, b.stats.last_change_by_predicate);
+
+  EXPECT_EQ(a.events.size(), b.events.size());
+  const auto diverge = std::mismatch(a.events.begin(), a.events.end(), b.events.begin(),
+                                     b.events.end());
+  if (diverge.first != a.events.end() || diverge.second != b.events.end()) {
+    ADD_FAILURE() << "tuple events diverge at #" << (diverge.first - a.events.begin())
+                  << ": interpreter "
+                  << (diverge.first != a.events.end() ? describe(*diverge.first) : "<end>")
+                  << ", dataflow "
+                  << (diverge.second != b.events.end() ? describe(*diverge.second)
+                                                       : "<end>");
+  }
 
   ASSERT_EQ(a.dbs.size(), b.dbs.size());
   for (const auto& [node, rows] : a.dbs) {
@@ -394,6 +603,7 @@ TEST(Differential, IncrementalAblationMatchesIncremental) {
   EXPECT_EQ(inc.stats.events_processed, rec.stats.events_processed);
   EXPECT_DOUBLE_EQ(inc.stats.last_change_time, rec.stats.last_change_time);
   EXPECT_EQ(inc.dbs, rec.dbs);
+  EXPECT_TRUE(inc.events == rec.events);
 }
 
 // ---------------------------------------------------------------------------

@@ -133,6 +133,46 @@ TEST(LtlParser, CheckSpecDiagnostics) {
   EXPECT_EQ(sink.count(ndlog::Severity::Error), 0u);  // warnings never block
 }
 
+/// "name: F (bestPath(@n0,n0,_,_) || ... )." over `distinct` destinations,
+/// each disjunct written `copies` times.
+std::string wide_spec(int distinct, int copies) {
+  std::string disjuncts;
+  for (int c = 0; c < copies; ++c) {
+    for (int i = 0; i < distinct; ++i) {
+      if (!disjuncts.empty()) disjuncts += " || ";
+      disjuncts += "bestPath(@n0, n" + std::to_string(i) + ", _, _)";
+    }
+  }
+  return "wide: F (" + disjuncts + ").\n";
+}
+
+TEST(LtlParser, CheckSpecRejectsMoreAtomsThanAValuationHolds) {
+  const auto catalog = ndlog::Catalog::from_program(core::path_vector_program());
+  const auto errors_for = [&](const std::string& text) {
+    ndlog::DiagnosticSink sink;
+    check_spec(parse_spec(text, "wide.ltl"), catalog, sink);
+    std::vector<std::string> codes;
+    for (const auto& d : sink.diagnostics()) {
+      if (d.severity == ndlog::Severity::Error) codes.push_back(d.code);
+    }
+    return codes;
+  };
+  // 70 distinct atoms: an LT0006 error instead of a throw when lowered.
+  EXPECT_EQ(errors_for(wide_spec(70, 1)), std::vector<std::string>{"LT0006"});
+  // Atoms are counted after ApSet's dedup: 64 distinct atoms written twice
+  // (128 occurrences) are within the limit and lower without throwing.
+  EXPECT_TRUE(errors_for(wide_spec(64, 2)).empty());
+  const Spec at_limit = parse_spec(wide_spec(64, 2));
+  ApSet aps;
+  EXPECT_NO_THROW(to_nnf(at_limit.properties.at(0).formula, aps));
+  EXPECT_EQ(aps.aps.size(), ApSet::kMax);
+  // One more distinct atom crosses it; intern keeps its guard.
+  EXPECT_EQ(errors_for(wide_spec(65, 1)), std::vector<std::string>{"LT0006"});
+  ApSet over;
+  EXPECT_THROW(to_nnf(parse_spec(wide_spec(65, 1)).properties.at(0).formula, over),
+               std::runtime_error);
+}
+
 // ---------------------------------------------------------------------------
 // NNF + Büchi
 // ---------------------------------------------------------------------------

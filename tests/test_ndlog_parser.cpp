@@ -1,7 +1,19 @@
 // Unit tests for the NDlog lexer/parser: the paper's concrete syntax, error
-// positions, materialize declarations, aggregates, negation, facts.
+// positions, materialize declarations, aggregates, negation, facts — and a
+// seeded mutation fuzz over every shipped program.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <random>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "ndlog/lint.hpp"
 #include "ndlog/parser.hpp"
 
 namespace fvn::ndlog {
@@ -222,6 +234,93 @@ TEST(ParserSpans, NonConstantFactArgumentPointsAtAtom) {
     EXPECT_EQ(e.line(), 1);
     EXPECT_EQ(e.column(), 1);  // the atom, not the end of input
   }
+}
+
+// ---------------------------------------------------------------------------
+// Program parser fuzz: seeded byte flips, truncations and token splices over
+// every shipped examples/ndlog/*.ndlog, each run through parse_program and
+// the `fvn_cli lint` passes. Each input must end in a Program (then
+// diagnostics) or a ParseError — never another exception, and never a
+// sanitizer report (check.sh runs the suite under ASan/UBSan).
+// ---------------------------------------------------------------------------
+
+/// Spliced in whole: the language's tokens plus inputs that stress the
+/// lexer's number, string and comment paths.
+const std::string_view kSpliceTokens[] = {
+    ":-", ":=", "==", "!=", "<=", ">=", "@", ",", "(", ")", "[", "]", ".", "=",
+    "<", ">", "+", "-", "*", "/", "%", "!", "_", "X", "n0", "min<", "max<",
+    "count<", "sum<", "materialize(", "keys(", "infinity", "periodic(", "f_size(",
+    "f_concat(", "f_init(", "f_member(", "f_nosuch(", "link(@S,D,C)", "r9 p(@S) :- ",
+    "\"", "\"s\"", "/*", "*/", "//", "\n", "\\", "0.5", ".5", "-1",
+    "99999999999999999999", "1e308", "1111111111111111111111111111111111111111111111"
+    "111111111111111111111111111111111111111111111111111111111111111111111111111111"
+    "111111111111111111111111111111111111111111111111111111111111111111111111111111"
+    "111111111111111111111111111111111111111111111111111111111111111111111111111111"
+    ".1111111111111111111111111111111111111111111111111111111111111111111111111111",
+    "\xff", "\x80", std::string_view("\0", 1)};
+
+std::string mutate(const std::string& text, std::mt19937_64& rng) {
+  std::string out = text;
+  const auto pick = [&rng](std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+  };
+  const std::size_t edits = 1 + pick(4);
+  for (std::size_t e = 0; e < edits; ++e) {
+    switch (pick(3)) {
+      case 0:  // byte flip
+        if (!out.empty()) out[pick(out.size())] ^= static_cast<char>(1u << pick(8));
+        break;
+      case 1:  // truncation
+        out.resize(pick(out.size() + 1));
+        break;
+      default: {  // token splice
+        const std::string_view token = kSpliceTokens[pick(std::size(kSpliceTokens))];
+        out.insert(pick(out.size() + 1), token);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(NdlogFuzz, MutatedExampleProgramsParseOrFailCleanly) {
+  const auto dir = std::filesystem::path(FVN_SOURCE_DIR) / "examples" / "ndlog";
+  std::vector<std::filesystem::path> programs;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".ndlog") programs.push_back(entry.path());
+  }
+  std::sort(programs.begin(), programs.end());  // directory order is unspecified
+  ASSERT_FALSE(programs.empty());
+
+  std::mt19937_64 rng(0x5eed2u);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const auto& path : programs) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    for (int i = 0; i < 1000; ++i) {
+      const std::string input = mutate(text.str(), rng);
+      try {
+        const Program program = parse_program(input, "fuzz.ndlog");
+        DiagnosticSink sink;
+        lint_program(program, sink);
+        ++parsed;
+      } catch (const ParseError& e) {
+        EXPECT_GE(e.line(), 1);
+        EXPECT_GE(e.column(), 1);
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << path.filename() << " mutation " << i << ": " << e.what()
+                      << "\ninput:\n"
+                      << input;
+      }
+    }
+  }
+  // Both outcomes occur, so the mutations neither always break nor never
+  // touch the grammar.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,17 @@
 // Distributed-runtime tests: localization rewrite, distributed-vs-centralized
 // agreement for the paper's protocols, soft-state expiry and refresh, message
-// loss, runtime monitors, and the E5 convergence observables.
+// loss, runtime monitors, the E5 convergence observables, and the node
+// executive's aggregate event order.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/protocols.hpp"
 #include "ndlog/eval.hpp"
+#include "ndlog/parser.hpp"
 #include "runtime/localize.hpp"
+#include "runtime/node_exec.hpp"
 #include "runtime/simulator.hpp"
 
 namespace fvn {
@@ -242,6 +248,95 @@ TEST(Simulator, ConvergenceTimeGrowsWithDiameter) {
     EXPECT_TRUE(stats.quiesced);
     EXPECT_GT(stats.last_change_time, last);
     last = stats.last_change_time;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// NodeExec aggregate order: one flush that changes several groups retracts
+// the rows that left, then installs the new ones, each in group-key order,
+// whichever engine and cadence produced it.
+// ---------------------------------------------------------------------------
+
+/// Records every database change and shipment a NodeExec reports.
+class RecordingHost final : public runtime::NodeHost {
+ public:
+  void ship(const std::string& /*node*/, Tuple tuple, const std::string& dest,
+            double /*now*/) override {
+    events.push_back("ship " + tuple.to_string() + " -> " + dest);
+  }
+  void changed(const TupleEvent& event, bool overwrite) override {
+    events.push_back(std::string(runtime::to_string(event.kind)) + " " +
+                     event.tuple.to_string() + (overwrite ? " (overwrite)" : ""));
+  }
+
+  std::vector<std::string> events;
+};
+
+/// The link-state pattern: lspath recurses locally over lsdb, so one
+/// delivered lsdb row installs several lspath rows before a flush, and the
+/// flush moves several lsBestCost groups at once.
+const char* kLocalRecursion = R"(
+  materialize(lsdb, infinity, infinity, keys(1,2,3,4)).
+  materialize(lspath, infinity, infinity, keys(1,2,3,4)).
+  materialize(lsBestCost, infinity, infinity, keys(1,2,3)).
+  l3 lspath(@N,S,D,C) :- lsdb(@N,S,D,C).
+  l4 lspath(@N,S,D,C) :- lspath(@N,S,Z,C1), lsdb(@N,Z,D,C2), C=C1+C2, C<1000.
+  l5 lsBestCost(@N,S,D,min<C>) :- lspath(@N,S,D,C).
+)";
+
+Tuple lsdb(const char* src, const char* dst, long cost) {
+  return Tuple("lsdb", {Value::addr("n0"), Value::addr(src), Value::addr(dst),
+                        Value::integer(cost)});
+}
+
+TEST(NodeExecAggregates, MultiGroupFlushRetractsThenInstallsInGroupKeyOrder) {
+  const auto program = ndlog::parse_program(kLocalRecursion, "local_recursion");
+  const auto& builtins = ndlog::BuiltinRegistry::standard();
+  // The chain z -> y -> x -> w: the recursion touches groups (z,y), (z,x),
+  // (z,w) in that order, the reverse of their key order.
+  const std::vector<std::string> expected = {
+      "install lsdb(n0,z,y,1)",
+      "install lspath(n0,z,y,1)",
+      "install lspath(n0,z,x,2)",
+      "install lspath(n0,z,w,3)",
+      "retract lsBestCost(n0,z,w,7)",
+      "retract lsBestCost(n0,z,x,6)",
+      "retract lsBestCost(n0,z,y,5)",
+      "install lsBestCost(n0,z,w,3)",
+      "install lsBestCost(n0,z,x,2)",
+      "install lsBestCost(n0,z,y,1)",
+  };
+  struct Mode {
+    const char* name;
+    std::optional<dataflow::PlanOptions> plan;
+  };
+  dataflow::PlanOptions recompute;
+  recompute.incremental_aggregates = false;
+  const Mode modes[] = {{"interpreter", std::nullopt},
+                        {"dataflow", dataflow::PlanOptions{}},
+                        {"dataflow recompute", recompute}};
+  for (const auto& mode : modes) {
+    const runtime::PreparedProgram prepared(program, builtins,
+                                            /*require_stratified=*/false, mode.plan);
+    for (const bool batch : {false, true}) {
+      SCOPED_TRACE(std::string(mode.name) + (batch ? " deliver_batch" : " deliver"));
+      RecordingHost host;
+      runtime::NodeExec exec(prepared, "n0", host);
+      const auto deliver = [&](const Tuple& t) {
+        if (batch) {
+          exec.deliver_batch({t}, 0.0);
+        } else {
+          exec.deliver(t, 0.0);
+        }
+      };
+      for (const auto& t : {lsdb("y", "x", 1), lsdb("x", "w", 1), lsdb("z", "y", 5)}) {
+        deliver(t);
+      }
+      ASSERT_EQ(exec.database().size("lsBestCost"), 6u);
+      host.events.clear();
+      deliver(lsdb("z", "y", 1));
+      EXPECT_EQ(host.events, expected);
+    }
   }
 }
 

@@ -861,6 +861,27 @@ TEST(CliVerify, SpecParseErrorExitsTwoWithLT0001) {
   EXPECT_NE(result.output.find("LT0001"), std::string::npos) << result.output;
 }
 
+namespace {
+/// A spec whose one property uses 70 distinct atoms (more than fit in a
+/// Valuation): check_spec rejects it with LT0006.
+std::string write_wide_spec(const std::string& name) {
+  std::string disjuncts;
+  for (int i = 0; i < 70; ++i) {
+    if (i != 0) disjuncts += " || ";
+    disjuncts += "reachable(@n0, n" + std::to_string(i) + ")";
+  }
+  return write_temp_program(name, "wide: F (" + disjuncts + ").\n");
+}
+}  // namespace
+
+TEST(CliVerify, MoreThan64AtomsExitsTwoWithLT0006) {
+  const auto [prog, facts, good, bad] = ltl_inputs();
+  const auto wide = write_wide_spec("ltl_wide.ltl");
+  const auto result = run_cli("verify " + prog + " " + facts + " --ltl " + wide);
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("LT0006"), std::string::npos) << result.output;
+}
+
 TEST(CliVerify, MissingSpecFlagIsUsageError) {
   const auto [prog, facts, good, bad] = ltl_inputs();
   const auto result = run_cli("verify " + prog + " " + facts);
@@ -895,6 +916,16 @@ TEST(CliMonitor, SpecParseErrorExitsTwo) {
   const auto result = run_cli("sim " + prog + " " + facts + " --monitor " + broken);
   EXPECT_EQ(result.exit_code, 2) << result.output;
   EXPECT_NE(result.output.find("LT0001"), std::string::npos) << result.output;
+}
+
+TEST(CliMonitor, MoreThan64AtomsExitsTwoWithLT0006) {
+  const auto [prog, facts, good, bad] = ltl_inputs();
+  const auto wide = write_wide_spec("ltl_wide2.ltl");
+  for (const char* cmd : {"sim ", "dist "}) {
+    const auto result = run_cli(cmd + prog + " " + facts + " --monitor " + wide);
+    EXPECT_EQ(result.exit_code, 2) << cmd << result.output;
+    EXPECT_NE(result.output.find("LT0006"), std::string::npos) << result.output;
+  }
 }
 
 // --monitor and --serve attach two sinks to one run: the monitor must still
