@@ -7,11 +7,8 @@
 //   fvn_cli analyze   [--json|--dot] <prog.ndlog>...  semantic analysis:
 //                     divergence prediction + CALM convergence (ND0014..18);
 //                     --cost adds the ND0019..ND0021 cost model;
-//                     --parallel adds the shard-parallel certificate
-//                     (ND0022..ND0025: shard keys, misaligned joins,
-//                     aggregate/negation barriers);
 //                     --dot prints the dependency graph with strata/SCCs
-//                     (with --cost/--parallel: the respective annotated graph)
+//                     (with --cost: the cost-annotated graph)
 //   fvn_cli translate <prog.ndlog>                  PVS-style theory (arc 4)
 //   fvn_cli linear    <prog.ndlog>                  linear-logic view (§4.2)
 //   fvn_cli run       <prog.ndlog> <facts.txt>      centralized evaluation
@@ -31,8 +28,6 @@
 //                                            timeout (default 0.25)
 //                     --engine=<interpreter|dataflow>, --metrics, --trace
 //   fvn_cli plan      <prog.ndlog> [--dot|--json]   compiled dataflow graph
-//                     --parallel  append the certified shard plan for the
-//                                 localized program (ND0022 key table)
 //   fvn_cli explain   <prog.ndlog> <facts.txt> <fact>   derivation tree
 //   fvn_cli serve     <prog.ndlog> <facts.txt> --serve-pred <pred>
 //                     run to fixpoint with the fvn::serve route-serving plane
@@ -110,7 +105,6 @@
 #include "ndlog/cost.hpp"
 #include "ndlog/eval.hpp"
 #include "ndlog/lint.hpp"
-#include "ndlog/parallel.hpp"
 #include "ndlog/parser.hpp"
 #include "ndlog/provenance.hpp"
 #include "ndlog/query.hpp"
@@ -177,14 +171,12 @@ int usage() {
                "[--engine=...] [--metrics] [--trace <out.json>]\n"
                "       fvn_cli lint [--json] <prog.ndlog>...   "
                "(exit 0 clean, 1 warnings, 2 errors)\n"
-               "       fvn_cli analyze [--json|--dot|--metrics|--cost|--parallel] "
+               "       fvn_cli analyze [--json|--dot|--metrics|--cost] "
                "<prog.ndlog>...   "
                "(semantic passes ND0014..ND0018; --cost adds the ND0019..ND0021 "
-               "cost model; --parallel adds the ND0022..ND0025 shard-parallel "
-               "certificate; same exit convention)\n"
-               "       fvn_cli plan <prog.ndlog> [--dot|--json] [--cost-order] "
-               "[--parallel]   (localize + compile to dataflow strands; "
-               "--parallel appends the certified shard plan)\n"
+               "cost model; same exit convention)\n"
+               "       fvn_cli plan <prog.ndlog> [--dot|--json] [--cost-order]   "
+               "(localize + compile to dataflow strands)\n"
                "       eval = run, sim = simulate; both take --metrics and "
                "--trace <out.json>; sim takes --engine=<interpreter|dataflow>\n"
                "       fvn_cli serve <prog.ndlog> <facts.txt> --serve-pred <pred> "
@@ -199,6 +191,14 @@ int usage() {
   return 2;
 }
 
+/// lint, analyze and plan take file lists: an argument starting with `--`
+/// that they do not know is a usage error, not a file name, so a mistyped
+/// flag never surfaces as an ND0001 "cannot read" parse failure.
+int unknown_flag(const std::string& flag) {
+  std::cerr << "error: unknown flag " << flag << "\n";
+  return usage();
+}
+
 /// `fvn_cli plan <prog.ndlog> [--dot|--json]` — localize the program and
 /// compile it to the fvn::dataflow element graph, printing a human summary
 /// (default), Graphviz DOT, or JSON.
@@ -206,7 +206,6 @@ int cmd_plan(const std::vector<std::string>& args) {
   bool dot = false;
   bool json = false;
   bool cost_order = false;
-  bool parallel = false;
   std::vector<std::string> files;
   for (const auto& a : args) {
     if (a == "--dot") {
@@ -215,8 +214,8 @@ int cmd_plan(const std::vector<std::string>& args) {
       json = true;
     } else if (a == "--cost-order") {
       cost_order = true;
-    } else if (a == "--parallel") {
-      parallel = true;
+    } else if (a.rfind("--", 0) == 0) {
+      return unknown_flag(a);
     } else {
       files.push_back(a);
     }
@@ -227,27 +226,12 @@ int cmd_plan(const std::vector<std::string>& args) {
   fvn::dataflow::PlanOptions plan_options;
   plan_options.cost_order = cost_order;
   auto plan = fvn::dataflow::compile(localized, plan_options);
-  // --parallel: certify the *localized* program — the exact form the worker
-  // pools execute — and render the shard plan next to the strand plan.
-  std::optional<fvn::ndlog::parallel::Report> shard_plan;
-  if (parallel) {
-    fvn::ndlog::DiagnosticSink scratch;
-    shard_plan = fvn::ndlog::parallel::analyze(localized, scratch);
-  }
   if (dot) {
-    std::cout << (shard_plan ? fvn::ndlog::parallel::to_dot(localized, *shard_plan)
-                             : plan.to_dot());
+    std::cout << plan.to_dot();
   } else if (json) {
-    if (shard_plan) {
-      std::cout << "{\"plan\":" << plan.to_json()
-                << ",\"parallel\":" << fvn::ndlog::parallel::to_json(*shard_plan)
-                << "}\n";
-    } else {
-      std::cout << plan.to_json() << "\n";
-    }
+    std::cout << plan.to_json() << "\n";
   } else {
     std::cout << plan.summary();
-    if (shard_plan) std::cout << fvn::ndlog::parallel::to_human(*shard_plan);
   }
   return 0;
 }
@@ -261,6 +245,8 @@ int cmd_lint(const std::vector<std::string>& args) {
   for (const auto& a : args) {
     if (a == "--json") {
       json = true;
+    } else if (a.rfind("--", 0) == 0) {
+      return unknown_flag(a);
     } else {
       files.push_back(a);
     }
@@ -312,7 +298,6 @@ int cmd_analyze(const std::vector<std::string>& args) {
   bool dot = false;
   bool want_metrics = false;
   bool want_cost = false;
-  bool want_parallel = false;
   std::vector<std::string> files;
   for (const auto& a : args) {
     if (a == "--json") {
@@ -323,8 +308,8 @@ int cmd_analyze(const std::vector<std::string>& args) {
       want_metrics = true;
     } else if (a == "--cost") {
       want_cost = true;
-    } else if (a == "--parallel") {
-      want_parallel = true;
+    } else if (a.rfind("--", 0) == 0) {
+      return unknown_flag(a);
     } else {
       files.push_back(a);
     }
@@ -342,8 +327,6 @@ int cmd_analyze(const std::vector<std::string>& args) {
     std::string summary_json;
     std::string cost_json;
     std::string cost_human;
-    std::string parallel_json;
-    std::string parallel_human;
     try {
       auto program = fvn::ndlog::parse_program(slurp(file), file);
       fvn::ndlog::check_arities(program, sink);
@@ -359,19 +342,9 @@ int cmd_analyze(const std::vector<std::string>& args) {
           auto cost_report = fvn::ndlog::cost::analyze(program, report, sink);
           cost_json = fvn::ndlog::cost::to_json(cost_report);
           if (!json && !dot) cost_human = fvn::ndlog::cost::to_human(cost_report);
-          if (dot && !want_parallel) {
-            std::cout << fvn::ndlog::cost::to_dot(program, cost_report);
-          }
-        } else if (dot && !want_parallel) {
+          if (dot) std::cout << fvn::ndlog::cost::to_dot(program, cost_report);
+        } else if (dot) {
           std::cout << fvn::ndlog::semantic_dot(program, report);
-        }
-        if (want_parallel) {
-          auto parallel_report = fvn::ndlog::parallel::analyze(program, sink);
-          parallel_json = fvn::ndlog::parallel::to_json(parallel_report);
-          if (!json && !dot) {
-            parallel_human = fvn::ndlog::parallel::to_human(parallel_report);
-          }
-          if (dot) std::cout << fvn::ndlog::parallel::to_dot(program, parallel_report);
         }
       }
       fvn::ndlog::dedupe_localized_diagnostics(program, sink);
@@ -389,12 +362,10 @@ int cmd_analyze(const std::vector<std::string>& args) {
                << "\",\"diagnostics\":" << fvn::ndlog::render_json(sink.diagnostics());
       if (!summary_json.empty()) json_out << ",\"summary\":" << summary_json;
       if (!cost_json.empty()) json_out << ",\"cost\":" << cost_json;
-      if (!parallel_json.empty()) json_out << ",\"parallel\":" << parallel_json;
       json_out << "}";
     } else if (!dot) {
       std::cout << fvn::ndlog::render_human(sink.diagnostics(), file);
       if (!cost_human.empty()) std::cout << cost_human;
-      if (!parallel_human.empty()) std::cout << parallel_human;
     }
   }
   if (json) {

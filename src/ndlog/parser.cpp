@@ -420,13 +420,28 @@ class Parser {
     }
   }
 
+  // Terms and values are walked recursively (by the analyzers, the evaluator
+  // and their destructors), so the parser bounds their depth: each nested
+  // expression and each binary operator adds a level, and passing
+  // kMaxTermDepth is a ParseError instead of a stack overflow later on.
+  static constexpr int kMaxTermDepth = 512;
+  void deepen() {
+    if (++term_depth_ > kMaxTermDepth) {
+      throw ParseError("expression nested too deeply", peek().line, peek().column);
+    }
+  }
+
   TermPtr parse_expr() {
+    const int outer_depth = term_depth_;
+    deepen();
     TermPtr lhs = parse_term();
     while (at(TokenKind::Plus) || at(TokenKind::Minus)) {
       BinOp op = at(TokenKind::Plus) ? BinOp::Add : BinOp::Sub;
       next();
+      deepen();
       lhs = Term::binary(op, std::move(lhs), parse_term());
     }
+    term_depth_ = outer_depth;
     return lhs;
   }
 
@@ -437,6 +452,7 @@ class Parser {
                  : at(TokenKind::Slash) ? BinOp::Div
                                         : BinOp::Mod;
       next();
+      deepen();
       lhs = Term::binary(op, std::move(lhs), parse_factor());
     }
     return lhs;
@@ -511,6 +527,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int term_depth_ = 0;
 };
 
 }  // namespace

@@ -423,6 +423,29 @@ TEST(Catalog, DiagnosticsDocCoversEveryRegisteredCodeExactly) {
   }
 }
 
+// ND0022–ND0025 belonged to the removed shard-parallel analyzer. They stay
+// retired, and every other number up to the highest registered code stays
+// registered, so retiring a code never silently drops a neighbour.
+TEST(Catalog, RetiredCodesStayRetiredAndTheRestStayContiguous) {
+  const std::set<std::string> retired = {"ND0022", "ND0023", "ND0024", "ND0025"};
+  std::set<std::string> registered;
+  int highest = 0;
+  for (const auto& info : diagnostic_catalog()) {
+    registered.emplace(info.code);
+    highest = std::max(highest, std::stoi(std::string(info.code.substr(2))));
+  }
+  for (const auto& code : retired) {
+    EXPECT_EQ(registered.count(code), 0U) << code << " is retired but registered";
+  }
+  for (int i = 1; i <= highest; ++i) {
+    char code[16];
+    std::snprintf(code, sizeof(code), "ND%04d", i);
+    if (retired.count(code) != 0) continue;
+    EXPECT_EQ(registered.count(code), 1U) << code << " is missing from the catalog";
+  }
+  EXPECT_GE(highest, 21);
+}
+
 // ---------------------------------------------------------------------------
 // Folding ship-rule findings onto their origin rule (a localized program fed
 // back through lint/analyze must not report the same defect twice).

@@ -1,6 +1,6 @@
 // Unit tests for the NDlog lexer/parser: the paper's concrete syntax, error
-// positions, materialize declarations, aggregates, negation, facts — and a
-// seeded mutation fuzz over every shipped program.
+// positions, materialize declarations, aggregates, negation, facts — and
+// seeded mutation fuzz over every shipped program and over fact lines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/protocols.hpp"
 #include "ndlog/lint.hpp"
 #include "ndlog/parser.hpp"
 
@@ -127,6 +128,26 @@ TEST(Parser, FactParsing) {
 
 TEST(Parser, FactWithVariableRejected) {
   EXPECT_THROW(parse_fact("link(@n1,X,3)"), ParseError);
+}
+
+// Deep nesting and long operator chains used to overflow the stack (in the
+// recursive descent, or later when the term tree was destroyed): a facts
+// line or program of this shape crashed `fvn_cli run` and `fvn_cli lint`.
+TEST(Parser, DeeplyNestedTermsAreAParseErrorNotAStackOverflow) {
+  const std::size_t n = 100000;
+  std::string chain = "1";
+  for (std::size_t i = 0; i < n; ++i) chain += "+1";
+  EXPECT_THROW(parse_fact("link(@n0," + std::string(n, '[') + ")"), ParseError);
+  EXPECT_THROW(parse_fact("link(@n0," + chain + ")"), ParseError);
+  EXPECT_THROW(parse_program("r1 a(@X) :- b(@X), X = " + std::string(n, '(') + "1."),
+               ParseError);
+  EXPECT_THROW(parse_program("r1 a(@X,Y) :- b(@X), Y = " + chain + "."), ParseError);
+  // Nesting and chains of ordinary size still parse.
+  const Tuple nested =
+      parse_fact("link(@n0," + std::string(100, '[') + std::string(100, ']') + ")");
+  EXPECT_EQ(nested.at(1).as_list().size(), 1u);
+  EXPECT_NO_THROW(parse_program("r1 a(@X,Y) :- b(@X,Z), Y = " +
+                                chain.substr(0, 2 * 200 + 1) + " * Z - ((Z)) + [1,[2]]."));
 }
 
 TEST(Parser, GroundFactRuleInProgram) {
@@ -319,6 +340,50 @@ TEST(NdlogFuzz, MutatedExampleProgramsParseOrFailCleanly) {
   }
   // Both outcomes occur, so the mutations neither always break nor never
   // touch the grammar.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Facts reader fuzz: the same mutations over single fact lines, run through
+// parse_fact (what `fvn_cli`'s facts-file loader calls per line). Each line
+// must end in a Tuple or a ParseError — never another exception or a
+// sanitizer report.
+// ---------------------------------------------------------------------------
+
+TEST(FactsFuzz, MutatedFactLinesParseOrFailCleanly) {
+  std::vector<std::string> seeds;
+  for (const auto& fact : core::link_facts(core::ring_topology(4))) {
+    std::string line = fact.to_string() + ".";
+    seeds.push_back(line);
+    line.insert(line.find('(') + 1, "@");  // the located form facts files use
+    seeds.push_back(line);
+  }
+  seeds.insert(seeds.end(), {
+                                "path(@n0,n2,[n0,n1,n2],2).",
+                                "label(@n1,\"hello, world\",-3,2.5)",
+                                "nested(@a,[[1,2],[\"x\",y]],true,false).",
+                                "empty(@n0,[],\"\",-0.5)",
+                            });
+  for (const auto& line : seeds) ASSERT_NO_THROW(parse_fact(line)) << line;
+
+  std::mt19937_64 rng(0xfac75u);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string input = mutate(seeds[static_cast<std::size_t>(i) % seeds.size()], rng);
+    try {
+      const Tuple fact = parse_fact(input);
+      EXPECT_FALSE(fact.predicate().empty()) << input;
+      ++parsed;
+    } catch (const ParseError& e) {
+      EXPECT_GE(e.line(), 1);
+      EXPECT_GE(e.column(), 1);
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << ": " << e.what() << "\ninput: " << input;
+    }
+  }
   EXPECT_GT(parsed, 0u);
   EXPECT_GT(rejected, 0u);
 }

@@ -661,6 +661,45 @@ TEST(CliAnalyze, MetricsFlagPrintsAnalyzeCounters) {
       << result.output;
 }
 
+TEST(CliAnalyze, UnknownFlagsAreUsageErrorsNotParseFailures) {
+  // lint/analyze/plan take file lists; a mistyped or removed flag must not be
+  // read as a file name and reported as ND0001 "cannot read --flag".
+  const std::string ex = std::string(FVN_SOURCE_DIR) + "/examples/ndlog/reachable.ndlog";
+  for (const std::string& args :
+       {"analyze " + ex + " --parallel", "plan " + ex + " --parallel", "lint --jsn " + ex}) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << ": " << result.output;
+    EXPECT_NE(result.output.find("usage: fvn_cli"), std::string::npos)
+        << args << ": " << result.output;
+    EXPECT_NE(result.output.find("unknown flag --"), std::string::npos)
+        << args << ": " << result.output;
+    EXPECT_EQ(result.output.find("ND0001"), std::string::npos) << args << ": " << result.output;
+  }
+}
+
+TEST(CliAnalyze, KnownFlagsOutputMatchesGoldenByteForByte) {
+  // `analyze` and `analyze --cost` over every shipped example, pinned byte for
+  // byte (paths in the goldens are relative to the source tree).
+  std::string files;
+  for (const std::string stem : {"distance_vector", "link_state", "path_vector",
+                                 "policy_path_vector", "reachable", "spanning_tree"}) {
+    files += " " FVN_SOURCE_DIR "/examples/ndlog/" + stem + ".ndlog";
+  }
+  for (const auto& [flags, golden] : {std::pair<std::string, std::string>{"", "analyze.txt"},
+                                      {" --cost", "analyze_cost.txt"}}) {
+    auto result = run_cli("analyze" + flags + files);
+    EXPECT_EQ(result.exit_code, 1) << flags << ": " << result.output;
+    const std::string root = FVN_SOURCE_DIR "/";
+    for (auto pos = result.output.find(root); pos != std::string::npos;
+         pos = result.output.find(root, pos)) {
+      result.output.erase(pos, root.size());
+    }
+    EXPECT_EQ(result.output,
+              slurp_file(std::string(FVN_SOURCE_DIR) + "/tests/golden/cli/" + golden))
+        << "analyze" << flags;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Exit-code convention: 0 = success, 1 = runtime failure, 2 = usage/parse —
 // uniform across lint/analyze/run/simulate/dist (pinned here so a subcommand
